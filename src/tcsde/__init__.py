@@ -41,14 +41,10 @@ from .experiment import (
     compare_schemes,
     fit_loglog,
     run_experiment,
+    sample_paths,
     strong_error_one_sample,
 )
-from .timechange import (
-    SamplePath,
-    TimeChangePath,
-    build_time_change,
-    simulate_sample_path,
-)
+from .timechange import SamplePath, TimeChangePath, build_time_change
 
 __all__ = [
     "__version__",
@@ -78,6 +74,6 @@ __all__ = [
     "gaussian_increments",
     "generate_path",
     "run_experiment",
-    "simulate_sample_path",
+    "sample_paths",
     "strong_error_one_sample",
 ]

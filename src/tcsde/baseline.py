@@ -10,55 +10,42 @@ scheme's self-convergence rate, never pathwise differences.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
 from . import _kernels
 from .brownian import BrownianPath
 from .diffusion import DiffusionCoefficient
+from .timechange import PiecewiseLinearPath
 
-__all__ = ["EmPath", "em_simulate", "write_em_csv"]
+__all__ = ["EmPath", "em_simulate"]
 
 
 @dataclass(frozen=True)
-class EmPath:
-    """Euler-Maruyama iterates at SDE times k/n, k = 0..ceil(n*T)."""
+class EmPath(PiecewiseLinearPath):
+    """Euler-Maruyama iterates y at SDE times t = k/n, k = 0..ceil(n*T).
+
+    The continuous comparison path is their linear interpolation.
+    """
 
     n: int
-    values: np.ndarray
+    y: np.ndarray
     sde_horizon: float
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
 
     @property
     def knot_count(self) -> int:
-        return len(self.values)
+        return len(self.y)
 
     @property
-    def grid(self) -> np.ndarray:
+    def t(self) -> np.ndarray:
         return np.arange(self.knot_count) / self.n
-
-    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
-        """The continuous comparison path: linear interpolation between iterates."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < 0.0 or t.max() > (self.knot_count - 1) / self.n):
-            raise ValueError("times outside the simulated grid")
-        return _kernels.pl_eval_many(self.grid, self.values, t)
-
-    def breakpoints(self) -> np.ndarray:
-        grid = self.grid
-        inside = grid[grid <= self.sde_horizon]
-        pts = np.append(inside, self.sde_horizon)
-        if len(pts) >= 2 and pts[-1] == pts[-2]:
-            pts = pts[:-1]
-        return pts
 
 
 def em_simulate(
@@ -84,14 +71,4 @@ def em_simulate(
         )
     else:
         values = _kernels.em_values_callable(sigma.evaluate, increments, n, x0)
-    return EmPath(n=n, values=values, sde_horizon=sde_horizon)
-
-
-def write_em_csv(path: EmPath, stream: IO[str]) -> None:
-    """Dump (t, x_hat) over the grid, same shape as the time-change dump."""
-    pts = path.breakpoints()
-    vals = path.evaluate_many(pts)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["t", "x_hat"])
-    for t, v in zip(pts, vals):
-        writer.writerow([repr(float(t)), repr(float(v))])
+    return EmPath(n=n, y=values, sde_horizon=sde_horizon)

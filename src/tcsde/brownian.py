@@ -14,15 +14,13 @@ gives three guarantees the harness relies on:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import IO
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = ["BrownianPath", "generate_path", "gaussian_increments", "write_knots_csv"]
+__all__ = ["BrownianPath", "generate_path", "gaussian_increments"]
 
 _U53 = 2.0**-53
 
@@ -75,33 +73,8 @@ class BrownianPath:
         return (self.knot_count - 1) / self.n
 
     @property
-    def knot_times(self) -> np.ndarray:
-        return np.arange(self.knot_count) / self.n
-
-    @property
     def x0(self) -> float:
         return float(self.values[0])
-
-    def interpolate(self, t: float) -> float:
-        """Linear interpolation between adjacent knots; exact at knots."""
-        last = self.knot_count - 1
-        if not 0.0 <= t <= last / self.n:
-            raise ValueError(
-                f"time {t} outside the stored knot range [0, {last / self.n}]"
-            )
-        k = int(t * self.n)
-        # float floor of t*n can land one knot off; correct against the
-        # actual knot times k/n so knot queries return stored values exactly
-        while k + 1 <= last and (k + 1) / self.n <= t:
-            k += 1
-        while k > 0 and k / self.n > t:
-            k -= 1
-        if k == last:
-            return float(self.values[last])
-        t0 = k / self.n
-        t1 = (k + 1) / self.n
-        theta = (t - t0) / (t1 - t0)
-        return float(self.values[k] + theta * (self.values[k + 1] - self.values[k]))
 
     def subsample(self, factor: int) -> "BrownianPath":
         """Every factor-th knot: the same Brownian motion at resolution n/factor."""
@@ -161,11 +134,3 @@ def generate_path(
         sample_index=sample_index,
         purpose=purpose,
     )
-
-
-def write_knots_csv(path: BrownianPath, stream: IO[str]) -> None:
-    """Debug dump (knot_index, time, value); not used by the pipeline."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["knot_index", "time", "value"])
-    for k, (t, v) in enumerate(zip(path.knot_times, path.values)):
-        writer.writerow([k, repr(float(t)), repr(float(v))])

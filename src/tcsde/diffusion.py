@@ -64,22 +64,29 @@ class DiffusionCoefficient:
     def bound_tolerance(self) -> float:
         return BOUND_TOL * max(1.0, self.c2)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.time_lipschitz > 0
-
 
 def _fmt(params: Sequence[float]) -> str:
     return ",".join(f"{float(v):g}" for v in params)
+
+
+def _kernel_sigma(kind: int, params: Sequence[float]) -> dict:
+    """The evaluate / evaluate_many / kernel_kind / kernel_params fields of a
+    builtin coefficient: one formula in _kernels, dispatched by kind."""
+    p = np.zeros(4)
+    p[: len(params)] = params
+    return dict(
+        evaluate=lambda t, x: _kernels._sigma_scalar(kind, p, t, x),
+        evaluate_many=lambda t, x: _kernels.sigma_kind_vec(kind, p, t, x),
+        kernel_kind=kind,
+        kernel_params=p,
+    )
 
 
 def _build_constant(params):
     (c,) = params
     if c <= 0:
         raise ValueError(f"constant level must be positive, got {c}")
-    c = float(c)
     return DiffusionCoefficient(
-        evaluate=lambda t, x: c,
         c1=c,
         c2=c,
         holder_beta=1.0,
@@ -87,19 +94,15 @@ def _build_constant(params):
         smoothness=SMOOTH,
         label=f"constant({_fmt(params)})",
         holder_const=0.0,
-        evaluate_many=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), c),
-        kernel_kind=_kernels.KIND_CONSTANT,
-        kernel_params=[c, 0.0, 0.0, 0.0],
+        **_kernel_sigma(_kernels.KIND_CONSTANT, params),
     )
 
 
 def _build_smooth_sin(params):
-    a, b = (float(v) for v in params)
+    a, b = params
     if not a > b > 0:
         raise ValueError(f"smooth-sin requires a > b > 0, got a={a}, b={b}")
-    p = np.array([a, b, 0.0, 0.0])
     return DiffusionCoefficient(
-        evaluate=lambda t, x: _kernels._sigma_scalar(_kernels.KIND_SMOOTH_SIN, p, t, x),
         c1=a - b,
         c2=a + b,
         holder_beta=1.0,
@@ -107,21 +110,15 @@ def _build_smooth_sin(params):
         smoothness=SMOOTH,
         label=f"smooth-sin({_fmt(params)})",
         holder_const=b,
-        evaluate_many=lambda t, x: _kernels.sigma_kind_vec(
-            _kernels.KIND_SMOOTH_SIN, p, t, x
-        ),
-        kernel_kind=_kernels.KIND_SMOOTH_SIN,
-        kernel_params=p,
+        **_kernel_sigma(_kernels.KIND_SMOOTH_SIN, params),
     )
 
 
 def _build_time_smooth(params):
-    a, b = (float(v) for v in params)
+    a, b = params
     if not a > b > 0:
         raise ValueError(f"time-smooth requires a > b > 0, got a={a}, b={b}")
-    p = np.array([a, b, 0.0, 0.0])
     return DiffusionCoefficient(
-        evaluate=lambda t, x: _kernels._sigma_scalar(_kernels.KIND_TIME_SMOOTH, p, t, x),
         c1=a - b,
         c2=a + b,
         holder_beta=1.0,
@@ -129,23 +126,17 @@ def _build_time_smooth(params):
         smoothness=SMOOTH,
         label=f"time-smooth({_fmt(params)})",
         holder_const=b,
-        evaluate_many=lambda t, x: _kernels.sigma_kind_vec(
-            _kernels.KIND_TIME_SMOOTH, p, t, x
-        ),
-        kernel_kind=_kernels.KIND_TIME_SMOOTH,
-        kernel_params=p,
+        **_kernel_sigma(_kernels.KIND_TIME_SMOOTH, params),
     )
 
 
 def _build_holder_root(params):
-    a, b, beta, center = (float(v) for v in params)
+    a, b, beta, _ = params
     if a <= 0 or b <= 0:
         raise ValueError(f"holder-root requires a, b > 0, got a={a}, b={b}")
     if not 0 < beta < 1:
         raise ValueError(f"holder-root requires beta in (0, 1), got {beta}")
-    p = np.array([a, b, beta, center])
     return DiffusionCoefficient(
-        evaluate=lambda t, x: _kernels._sigma_scalar(_kernels.KIND_HOLDER_ROOT, p, t, x),
         c1=a,
         c2=a + b,
         holder_beta=beta,
@@ -153,25 +144,17 @@ def _build_holder_root(params):
         smoothness=HOLDER,
         label=f"holder-root({_fmt(params)})",
         holder_const=1.0,
-        evaluate_many=lambda t, x: _kernels.sigma_kind_vec(
-            _kernels.KIND_HOLDER_ROOT, p, t, x
-        ),
-        kernel_kind=_kernels.KIND_HOLDER_ROOT,
-        kernel_params=p,
+        **_kernel_sigma(_kernels.KIND_HOLDER_ROOT, params),
     )
 
 
 def _build_step_mollified(params):
-    lo, hi, center, width = (float(v) for v in params)
+    lo, hi, _, width = params
     if lo <= 0 or hi <= 0:
         raise ValueError(f"step-mollified requires positive levels, got {lo}, {hi}")
     if width <= 0:
         raise ValueError(f"step-mollified requires positive ramp width, got {width}")
-    p = np.array([lo, hi, center, width])
     return DiffusionCoefficient(
-        evaluate=lambda t, x: _kernels._sigma_scalar(
-            _kernels.KIND_STEP_MOLLIFIED, p, t, x
-        ),
         c1=min(lo, hi),
         c2=max(lo, hi),
         holder_beta=1.0,
@@ -179,11 +162,7 @@ def _build_step_mollified(params):
         smoothness=HOLDER,
         label=f"step-mollified({_fmt(params)})",
         holder_const=abs(hi - lo) / width,
-        evaluate_many=lambda t, x: _kernels.sigma_kind_vec(
-            _kernels.KIND_STEP_MOLLIFIED, p, t, x
-        ),
-        kernel_kind=_kernels.KIND_STEP_MOLLIFIED,
-        kernel_params=p,
+        **_kernel_sigma(_kernels.KIND_STEP_MOLLIFIED, params),
     )
 
 
@@ -209,7 +188,7 @@ def builtin_coefficient(name: str, params: Sequence[float]) -> DiffusionCoeffici
     builder, arity = _CORPUS[name]
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
-    return builder(list(params))
+    return builder([float(v) for v in params])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,12 @@ from .baseline import em_simulate
 from .brownian import generate_path
 from .diffusion import DiffusionCoefficient, builtin_coefficient
 from .errors import ConfigError, ExperimentError, PathExhaustedError
-from .timechange import SamplePath, build_time_change, required_horizon
+from .timechange import (
+    PiecewiseLinearPath,
+    SamplePath,
+    build_time_change,
+    required_horizon,
+)
 
 __all__ = [
     "SCHEME_TIME_CHANGE",
@@ -37,6 +42,7 @@ __all__ = [
     "SampleResult",
     "RateReport",
     "SchemeComparison",
+    "sample_paths",
     "strong_error_one_sample",
     "run_experiment",
     "compare_schemes",
@@ -80,8 +86,10 @@ class ExperimentConfig:
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         res = tuple(sorted({int(n) for n in self.resolutions}))
         object.__setattr__(self, "resolutions", res)
-        if self.sde_horizon <= 0:
-            raise ConfigError(f"T: must be positive, got {self.sde_horizon}")
+        if not (np.isfinite(self.sde_horizon) and self.sde_horizon > 0):
+            raise ConfigError(f"T: must be positive and finite, got {self.sde_horizon}")
+        if not all(np.isfinite(self.params)):
+            raise ConfigError(f"params: must be finite, got {list(self.params)}")
         if not np.isfinite(self.x0):
             raise ConfigError(f"x0: must be finite, got {self.x0}")
         if not res:
@@ -96,12 +104,15 @@ class ExperimentConfig:
                     f"resolutions: n={n} does not divide ref_resolution="
                     f"{self.ref_resolution}"
                 )
-        if self.p < 1:
-            raise ConfigError(f"p: must be >= 1, got {self.p}")
+        if not (np.isfinite(self.p) and self.p >= 1):
+            raise ConfigError(f"p: must be finite and >= 1, got {self.p}")
         if self.samples < 1:
             raise ConfigError(f"samples: must be >= 1, got {self.samples}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(
+                f"master_seed: must lie in [0, 2^64) (one Philox key word), "
+                f"got {self.master_seed}"
+            )
         if self.scheme not in _SCHEMES:
             raise ConfigError(
                 f"scheme: unknown value {self.scheme!r}; choose one of "
@@ -199,11 +210,40 @@ class SampleResult:
     clock_sup: Optional[np.ndarray] = None
 
 
-def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
+def sample_paths(
+    config: ExperimentConfig, coeff: DiffusionCoefficient, sample_index: int
+) -> dict[int, PiecewiseLinearPath]:
+    """The reference and every ladder path of one sample, keyed by resolution.
+
+    All of them run on subsamples of one seeded driver at ref_resolution, so
+    they share a single Brownian realization. A time-change driver that runs
+    out of knots before every clock reaches T is extended and all clocks are
+    rebuilt; extension keeps the driver's prefix, so no path changes.
+    """
+    if not 0 <= sample_index < config.samples:
+        raise ConfigError(
+            f"sample index {sample_index} outside the configured range "
+            f"[0, {config.samples})"
+        )
     t_end = config.sde_horizon
+    ref = config.ref_resolution
+    resolutions = (ref,) + config.resolutions
+    if config.scheme == SCHEME_EULER_MARUYAMA:
+        fine = generate_path(
+            ref,
+            t_end + 2.0 / min(config.resolutions),
+            0.0,
+            config.master_seed,
+            sample_index,
+            purpose=PURPOSE_EULER_MARUYAMA,
+        )
+        return {
+            n: em_simulate(coeff, fine.subsample(ref // n), t_end, config.x0)
+            for n in resolutions
+        }
     horizon = required_horizon(coeff, t_end, min(config.resolutions))
     fine = generate_path(
-        config.ref_resolution,
+        ref,
         horizon,
         config.x0,
         config.master_seed,
@@ -212,38 +252,39 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
     )
     while True:
         try:
-            ref_tc = build_time_change(fine, coeff, t_end)
-            ladder = []
-            for n in config.resolutions:
-                coarse = fine.subsample(config.ref_resolution // n)
-                ladder.append((coarse, build_time_change(coarse, coeff, t_end)))
+            paths = {}
+            for n in resolutions:
+                driver = fine.subsample(ref // n)
+                tc = build_time_change(driver, coeff, t_end)
+                paths[n] = SamplePath(driver=driver, time_change=tc, sde_horizon=t_end)
+            return paths
         except PathExhaustedError:
             horizon *= 1.5
             fine = fine.extended(horizon)
-            continue
-        break
 
-    kc_ref = ref_tc.knot_count
-    ref_clock = ref_tc.clock
-    ref_vals = fine.values[:kc_ref]
-    ref_s = np.arange(kc_ref) / config.ref_resolution
+
+def _sup(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
+    return _kernels.pl_sup_abs_diff(a.t, a.y, b.t, b.y, a.sde_horizon)
+
+
+def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
+    paths = sample_paths(config, coeff, sample_index)
+    ref = paths[config.ref_resolution]
+    ref_s = ref.time_change.knots_s
     s_cap = config.sde_horizon * coeff.c2**2
-
     errors = np.empty(len(config.resolutions))
     inv_sup = np.empty(len(config.resolutions))
     clk_sup = np.empty(len(config.resolutions))
-    for i, (coarse, tc) in enumerate(ladder):
-        kc = tc.knot_count
-        clock = tc.clock
-        vals = coarse.values[:kc]
-        s = np.arange(kc) / coarse.n
-        errors[i] = _kernels.pl_sup_abs_diff(clock, vals, ref_clock, ref_vals, t_end)
+    for i, n in enumerate(config.resolutions):
+        path = paths[n]
+        s = path.time_change.knots_s
+        errors[i] = _sup(path, ref)
         # inverse clocks are piecewise linear in SDE time with knots
         # (clock value, brownian time); clocks are piecewise linear in
         # brownian time, compared up to C2^2 * T on the common domain
-        inv_sup[i] = _kernels.pl_sup_abs_diff(clock, s, ref_clock, ref_s, t_end)
+        inv_sup[i] = _kernels.pl_sup_abs_diff(path.t, s, ref.t, ref_s, config.sde_horizon)
         s_hi = min(s[-1], ref_s[-1], s_cap)
-        clk_sup[i] = _kernels.pl_sup_abs_diff(s, clock, ref_s, ref_clock, s_hi)
+        clk_sup[i] = _kernels.pl_sup_abs_diff(s, path.t, ref_s, ref.t, s_hi)
     return SampleResult(
         sample_index=sample_index,
         resolutions=config.resolutions,
@@ -254,25 +295,9 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
 
 
 def _em_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
-    t_end = config.sde_horizon
-    horizon = t_end + 2.0 / min(config.resolutions)
-    fine = generate_path(
-        config.ref_resolution,
-        horizon,
-        0.0,
-        config.master_seed,
-        sample_index,
-        purpose=PURPOSE_EULER_MARUYAMA,
-    )
-    ref = em_simulate(coeff, fine, t_end, config.x0)
-    ref_grid = ref.grid
-    errors = np.empty(len(config.resolutions))
-    for i, n in enumerate(config.resolutions):
-        coarse = fine.subsample(config.ref_resolution // n)
-        em = em_simulate(coeff, coarse, t_end, config.x0)
-        errors[i] = _kernels.pl_sup_abs_diff(
-            em.grid, em.values, ref_grid, ref.values, t_end
-        )
+    paths = sample_paths(config, coeff, sample_index)
+    ref = paths[config.ref_resolution]
+    errors = np.array([_sup(paths[n], ref) for n in config.resolutions])
     return SampleResult(
         sample_index=sample_index, resolutions=config.resolutions, sup_errors=errors
     )
@@ -280,11 +305,6 @@ def _em_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
 
 def strong_error_one_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
     """Coupled sup-errors of one seeded sample against its fine reference."""
-    if not 0 <= sample_index < config.samples:
-        raise ConfigError(
-            f"sample index {sample_index} outside the configured range "
-            f"[0, {config.samples})"
-        )
     coeff = config.build_coefficient()
     if config.scheme == SCHEME_EULER_MARUYAMA:
         return _em_sample(config, coeff, sample_index)

@@ -23,15 +23,16 @@ from typing import IO
 import numpy as np
 
 from . import _kernels
-from .brownian import BrownianPath, generate_path
+from .brownian import BrownianPath
+from .brownian import generate_path  # noqa: F401 - bound for perfbench/tracing.py
 from .diffusion import DiffusionCoefficient
 from .errors import ContractViolationError, PathExhaustedError
 
 __all__ = [
+    "PiecewiseLinearPath",
     "TimeChangePath",
     "SamplePath",
     "build_time_change",
-    "simulate_sample_path",
     "required_horizon",
     "write_solution_csv",
 ]
@@ -64,49 +65,22 @@ class TimeChangePath:
         """Brownian-time knots 0, 1/n, ..., K/n."""
         return np.arange(self.knot_count) / self.n
 
-    @property
-    def last_brownian_time(self) -> float:
-        return (self.knot_count - 1) / self.n
-
-    def value(self, s: float) -> float:
-        """Clock value at Brownian time s by the same piecewise-linear rule."""
-        last = self.knot_count - 1
-        if not 0.0 <= s <= last / self.n:
-            raise ValueError(f"Brownian time {s} outside [0, {last / self.n}]")
-        k = int(s * self.n)
-        while k + 1 <= last and (k + 1) / self.n <= s:
-            k += 1
-        while k > 0 and k / self.n > s:
-            k -= 1
-        if k == last:
-            return float(self.clock[last])
-        theta = (s - k / self.n) / ((k + 1) / self.n - k / self.n)
-        return float(self.clock[k] + theta * (self.clock[k + 1] - self.clock[k]))
-
-    def invert(self, t: float) -> float:
-        """Brownian time at which the clock reaches SDE time t; exact at knots."""
-        if not 0.0 <= t <= self.clock[-1]:
-            raise ValueError(
-                f"SDE time {t} outside the constructed clock range [0, {self.clock[-1]}]"
-            )
-        j = int(np.searchsorted(self.clock, t, side="right")) - 1
-        if j >= self.knot_count - 1:
-            return (self.knot_count - 1) / self.n
-        step = self.clock[j + 1] - self.clock[j]
-        if step < MIN_CLOCK_STEP:
-            raise ContractViolationError(
-                f"degenerate clock step {step} at knot {j}: coefficient bounds broken"
-            )
-        return (j + (t - self.clock[j]) / step) / self.n
-
     def invert_many(self, t: np.ndarray) -> np.ndarray:
+        """Brownian times at which the clock reaches SDE times t; exact at knots."""
         t = np.asarray(t, dtype=np.float64)
         if t.size and (t.min() < 0.0 or t.max() > self.clock[-1]):
             raise ValueError("SDE times outside the constructed clock range")
         j = np.searchsorted(self.clock, t, side="right") - 1
         last = j >= self.knot_count - 1
         j = np.where(last, 0, j)
-        s = (j + (t - self.clock[j]) / (self.clock[j + 1] - self.clock[j])) / self.n
+        step = self.clock[j + 1] - self.clock[j]
+        degenerate = ~last & (step < MIN_CLOCK_STEP)
+        if degenerate.any():
+            k = int(np.argmax(degenerate))
+            raise ContractViolationError(
+                f"degenerate clock step {step[k]} at knot {j[k]}: coefficient bounds broken"
+            )
+        s = (j + (t - self.clock[j]) / step) / self.n
         return np.where(last, (self.knot_count - 1) / self.n, s)
 
 
@@ -143,9 +117,35 @@ def build_time_change(
     return TimeChangePath(n=driver.n, clock=buf[: k + 1].copy(), sde_horizon=sde_horizon)
 
 
+class PiecewiseLinearPath:
+    """A path in SDE time, linear between its knots (t, y), read on [0, T].
+
+    Subclasses provide the knot arrays ``t`` (increasing, last >= T) and
+    ``y``, and the horizon ``sde_horizon``.
+    """
+
+    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation of the linear interpolant of the knots."""
+        t = np.asarray(t, dtype=np.float64)
+        if t.size and (t.min() < 0.0 or t.max() > self.sde_horizon):
+            raise ValueError("SDE times outside the sample path domain")
+        return _kernels.pl_eval_many(self.t, self.y, t)
+
+    def breakpoints(self) -> np.ndarray:
+        """SDE times where the path changes slope: knots <= T, plus 0 and T.
+
+        The path is affine between consecutive breakpoints.
+        """
+        knots = self.t
+        pts = np.append(knots[knots <= self.sde_horizon], self.sde_horizon)
+        if len(pts) >= 2 and pts[-1] == pts[-2]:
+            pts = pts[:-1]
+        return pts
+
+
 @dataclass(frozen=True)
-class SamplePath:
-    """Approximate SDE solution t -> driver interpolant at the inverted clock."""
+class SamplePath(PiecewiseLinearPath):
+    """Approximate SDE solution: the driver's knots placed at the clock's values."""
 
     driver: BrownianPath
     time_change: TimeChangePath
@@ -161,35 +161,12 @@ class SamplePath:
             raise ValueError("clock does not cover the SDE horizon")
 
     @property
-    def n(self) -> int:
-        return self.driver.n
+    def t(self) -> np.ndarray:
+        return self.time_change.clock
 
-    def evaluate(self, t: float) -> float:
-        if not 0.0 <= t <= self.sde_horizon:
-            raise ValueError(f"SDE time {t} outside [0, {self.sde_horizon}]")
-        return self.driver.interpolate(self.time_change.invert(t))
-
-    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation through the piecewise-linear composite."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < 0.0 or t.max() > self.sde_horizon):
-            raise ValueError("SDE times outside the sample path domain")
-        kc = self.time_change.knot_count
-        return _kernels.pl_eval_many(
-            self.time_change.clock, self.driver.values[:kc], t
-        )
-
-    def breakpoints(self) -> np.ndarray:
-        """SDE times where the path changes slope: clock knots <= T, plus 0 and T.
-
-        The path is affine between consecutive breakpoints.
-        """
-        clock = self.time_change.clock
-        inside = clock[clock <= self.sde_horizon]
-        pts = np.append(inside, self.sde_horizon)
-        if len(pts) >= 2 and pts[-1] == pts[-2]:
-            pts = pts[:-1]
-        return pts
+    @property
+    def y(self) -> np.ndarray:
+        return self.driver.values[: self.time_change.knot_count]
 
 
 def required_horizon(sigma: DiffusionCoefficient, sde_horizon: float, n: int) -> float:
@@ -202,28 +179,7 @@ def required_horizon(sigma: DiffusionCoefficient, sde_horizon: float, n: int) ->
     return 1.1 * (sigma.c2**2 * sde_horizon) + 2.0 / n
 
 
-def simulate_sample_path(
-    sigma: DiffusionCoefficient,
-    sde_horizon: float,
-    x0: float,
-    n: int,
-    master_seed: int,
-    sample_index: int,
-) -> SamplePath:
-    """One-stop construction of a seeded approximate solution path."""
-    horizon = required_horizon(sigma, sde_horizon, n)
-    driver = generate_path(n, horizon, x0, master_seed, sample_index)
-    while True:
-        try:
-            tc = build_time_change(driver, sigma, sde_horizon)
-        except PathExhaustedError:
-            horizon *= 1.5
-            driver = driver.extended(horizon)
-            continue
-        return SamplePath(driver=driver, time_change=tc, sde_horizon=sde_horizon)
-
-
-def write_solution_csv(sample: SamplePath, stream: IO[str]) -> None:
+def write_solution_csv(sample: PiecewiseLinearPath, stream: IO[str]) -> None:
     """Dump (t, x_hat) over the path's breakpoints for plotting."""
     pts = sample.breakpoints()
     vals = sample.evaluate_many(pts)

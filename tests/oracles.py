@@ -7,6 +7,9 @@ so agreement with the package is a genuine dual-route check.
 
 import numpy as np
 
+from tcsde.errors import ContractViolationError
+from tcsde.timechange import MIN_CLOCK_STEP
+
 
 def clock_euler(driver_values, n, sigma, t_end):
     """Explicit Euler for the clock ODE; returns the knot list up to the
@@ -73,3 +76,65 @@ def fit_slope_polyfit(ns, errors):
     """Order regression through numpy's polyfit, as an independent route."""
     coeffs = np.polyfit(np.log(1.0 / np.asarray(ns, float)), np.log(errors), 1)
     return float(coeffs[0])
+
+
+# The scalar twins of the package's vectorized path code, kept verbatim as
+# references for it: TimeChangePath.value / invert and BrownianPath.interpolate.
+# Unlike the oracles above they share the package's degenerate-step guard
+# (MIN_CLOCK_STEP, ContractViolationError), which invert_many must match.
+
+
+def clock_value(self, s):
+    """Clock value at Brownian time s by the same piecewise-linear rule."""
+    last = self.knot_count - 1
+    if not 0.0 <= s <= last / self.n:
+        raise ValueError(f"Brownian time {s} outside [0, {last / self.n}]")
+    k = int(s * self.n)
+    while k + 1 <= last and (k + 1) / self.n <= s:
+        k += 1
+    while k > 0 and k / self.n > s:
+        k -= 1
+    if k == last:
+        return float(self.clock[last])
+    theta = (s - k / self.n) / ((k + 1) / self.n - k / self.n)
+    return float(self.clock[k] + theta * (self.clock[k + 1] - self.clock[k]))
+
+
+def clock_invert(self, t):
+    """Brownian time at which the clock reaches SDE time t; exact at knots."""
+    if not 0.0 <= t <= self.clock[-1]:
+        raise ValueError(
+            f"SDE time {t} outside the constructed clock range [0, {self.clock[-1]}]"
+        )
+    j = int(np.searchsorted(self.clock, t, side="right")) - 1
+    if j >= self.knot_count - 1:
+        return (self.knot_count - 1) / self.n
+    step = self.clock[j + 1] - self.clock[j]
+    if step < MIN_CLOCK_STEP:
+        raise ContractViolationError(
+            f"degenerate clock step {step} at knot {j}: coefficient bounds broken"
+        )
+    return (j + (t - self.clock[j]) / step) / self.n
+
+
+def interpolate(self, t):
+    """Linear interpolation between adjacent knots; exact at knots."""
+    last = self.knot_count - 1
+    if not 0.0 <= t <= last / self.n:
+        raise ValueError(
+            f"time {t} outside the stored knot range [0, {last / self.n}]"
+        )
+    k = int(t * self.n)
+    # float floor of t*n can land one knot off; correct against the
+    # actual knot times k/n so knot queries return stored values exactly
+    while k + 1 <= last and (k + 1) / self.n <= t:
+        k += 1
+    while k > 0 and k / self.n > t:
+        k -= 1
+    if k == last:
+        return float(self.values[last])
+    t0 = k / self.n
+    t1 = (k + 1) / self.n
+    theta = (t - t0) / (t1 - t0)
+    return float(self.values[k] + theta * (self.values[k + 1] - self.values[k]))
+

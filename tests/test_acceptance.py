@@ -22,14 +22,10 @@ from tcsde.experiment import (
     ExperimentConfig,
     compare_schemes,
     run_experiment,
+    sample_paths,
     strong_error_one_sample,
 )
-from tcsde.timechange import (
-    SamplePath,
-    build_time_change,
-    required_horizon,
-    simulate_sample_path,
-)
+from tcsde.timechange import SamplePath, build_time_change, required_horizon
 
 SEED = 20260808
 REPO = Path(__file__).resolve().parent.parent
@@ -90,14 +86,23 @@ def test_criterion_1_exact_inverse_suite():
         name = names[i % len(names)]
         coeff = builtin_coefficient(name, CORPUS_PARAMS[name])
         n = (16, 64, 128)[i % 3]
-        sp = simulate_sample_path(coeff, 1.0, 0.0, n, SEED, i)
-        tc = sp.time_change
+        cfg = ExperimentConfig(
+            coefficient=name,
+            params=CORPUS_PARAMS[name],
+            sde_horizon=1.0,
+            x0=0.0,
+            resolutions=(n,),
+            ref_resolution=n,
+            p=2.0,
+            samples=i + 1,
+            master_seed=SEED,
+        )
+        tc = sample_paths(cfg, coeff, i)[n].time_change
 
-        for k in range(tc.knot_count):
-            got = tc.invert(tc.clock[k])
-            want = k / n
-            assert abs(got - want) <= np.spacing(max(want, np.finfo(float).tiny))
-            checked_knots += 1
+        got = tc.invert_many(tc.clock)
+        want = np.arange(tc.knot_count) / n
+        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(want, np.finfo(float).tiny)))
+        checked_knots += tc.knot_count
 
         rng = np.random.default_rng(1000 + i)
         ts = rng.uniform(0.0, float(tc.clock[-1]), 1000)
@@ -126,11 +131,10 @@ def test_criterion_2_constant_sigma_oracle():
                 time_change=build_time_change(coarse, coeff, 1.0),
                 sde_horizon=1.0,
             )
-            for k in range(sp.time_change.knot_count):
-                t = k / (n * 4.0)
-                if t > 1.0:
-                    break
-                assert sp.evaluate(t) == coarse.values[k], (i, n, k)
+            ts = np.arange(sp.time_change.knot_count) / (n * 4.0)
+            ts = ts[ts <= 1.0]
+            exact = sp.evaluate_many(ts) == coarse.values[: len(ts)]
+            assert np.all(exact), (i, n, np.flatnonzero(~exact))
 
     cfg = ExperimentConfig(
         coefficient="constant",

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from tcsde.baseline import em_simulate, write_em_csv
+from tcsde.baseline import em_simulate
 from tcsde.brownian import BrownianPath, generate_path
 from tcsde.diffusion import builtin_coefficient
 from tcsde.experiment import fit_loglog
+from tcsde.timechange import write_solution_csv
 
 SEED = 20260808
 
@@ -24,7 +25,7 @@ class TestRecursion:
         d = _driver(16, 1.5, 0)
         em = em_simulate(c, d, 1.0, 0.5)
         expected = 0.5 + 2.0 * (d.values[: em.knot_count] - d.values[0])
-        np.testing.assert_allclose(em.values, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(em.y, expected, rtol=0, atol=1e-13)
 
     def test_single_step_hand_value(self):
         # x0=0, dW=0.1, sigma(0,0)=2: one step gives 0.2
@@ -32,12 +33,12 @@ class TestRecursion:
         d = BrownianPath(n=1, values=np.array([0.0, 0.1]), master_seed=0, sample_index=0)
         em = em_simulate(c, d, 1.0, 0.0)
         assert em.knot_count == 2
-        assert em.values[1] == pytest.approx(0.2, abs=1e-15)
+        assert em.y[1] == pytest.approx(0.2, abs=1e-15)
 
     def test_initial_value_and_length(self):
         c = builtin_coefficient("smooth-sin", [2.0, 1.0])
         em = em_simulate(c, _driver(8, 1.25, 1), 1.0, 3.0)
-        assert em.values[0] == 3.0
+        assert em.y[0] == 3.0
         assert em.knot_count == 9  # ceil(8 * 1) + 1
 
     def test_frozen_terminal_against_dual_implementation(self):
@@ -45,8 +46,8 @@ class TestRecursion:
         d = _driver(8, 1.25, 5)
         em = em_simulate(c, d, 1.0, 0.0)
         ref = oracles.em_recursion(d.values, 8, c.evaluate, 1.0, 0.0)
-        np.testing.assert_allclose(em.values, ref, rtol=0, atol=1e-12)
-        assert em.values[-1] == pytest.approx(2.40782389698525, abs=1e-12)
+        np.testing.assert_allclose(em.y, ref, rtol=0, atol=1e-12)
+        assert em.y[-1] == pytest.approx(2.40782389698525, abs=1e-12)
 
     def test_custom_callable_matches_kind_dispatch(self):
         kind = builtin_coefficient("smooth-sin", [2.0, 1.0])
@@ -55,7 +56,7 @@ class TestRecursion:
         d = _driver(32, 1.1, 2)
         a = em_simulate(kind, d, 1.0, 0.0)
         b = em_simulate(custom, d, 1.0, 0.0)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(a.y, b.y, rtol=1e-13, atol=1e-13)
 
     def test_driver_too_short(self):
         c = builtin_coefficient("constant", [2.0])
@@ -73,7 +74,7 @@ class TestContinuousComparisonPath:
         c = builtin_coefficient("smooth-sin", [2.0, 1.0])
         em = em_simulate(c, _driver(4, 1.25, 3), 1.0, 0.0)
         mid = em.evaluate_many(np.array([1 / 8]))[0]
-        assert mid == pytest.approx((em.values[0] + em.values[1]) / 2, rel=1e-14)
+        assert mid == pytest.approx((em.y[0] + em.y[1]) / 2, rel=1e-14)
 
     def test_breakpoints_clip_at_horizon(self):
         c = builtin_coefficient("constant", [2.0])
@@ -96,7 +97,7 @@ class TestSelfConvergence:
             em_ref = em_simulate(c, fine, 1.0, 0.0)
             for j, n in enumerate(ladder):
                 em_n = em_simulate(c, fine.subsample(ref // n), 1.0, 0.0)
-                grid = np.union1d(em_n.grid, em_ref.grid)
+                grid = np.union1d(em_n.t, em_ref.t)
                 grid = grid[grid <= 1.0]
                 diff = em_n.evaluate_many(grid) - em_ref.evaluate_many(grid)
                 errors[i, j] = np.max(np.abs(diff))
@@ -115,7 +116,7 @@ class TestSelfConvergence:
         for i in range(m):
             fine = _driver(ref, 1.0, i)
             em_ref = em_simulate(c, fine, 1.0, 0.0)
-            grid = em_ref.grid[em_ref.grid <= 1.0]
+            grid = em_ref.t[em_ref.t <= 1.0]
             ref_vals = em_ref.evaluate_many(grid)
             for j, n in enumerate(ladder):
                 em_n = em_simulate(c, fine.subsample(ref // n), 1.0, 0.0)
@@ -130,7 +131,7 @@ class TestCsvDump:
         c = builtin_coefficient("constant", [2.0])
         em = em_simulate(c, _driver(4, 1.25, 0), 1.0, 0.0)
         buf = io.StringIO()
-        write_em_csv(em, buf)
+        write_solution_csv(em, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,x_hat"
         assert len(lines) == 1 + len(em.breakpoints())

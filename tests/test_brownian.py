@@ -1,9 +1,15 @@
-import io
-
 import numpy as np
 import pytest
 
-from tcsde.brownian import BrownianPath, gaussian_increments, generate_path, write_knots_csv
+import oracles
+from tcsde import _kernels
+from tcsde.brownian import BrownianPath, gaussian_increments, generate_path
+
+
+def _interp(path, t):
+    """The driver's linear interpolant at times t, read the vectorized way."""
+    knots = np.arange(path.knot_count) / path.n
+    return _kernels.pl_eval_many(knots, path.values, np.asarray(t, dtype=np.float64))
 
 
 class TestGeneration:
@@ -71,36 +77,37 @@ class TestGeneration:
 class TestInterpolation:
     def test_knot_identity_zero_error(self):
         p = generate_path(7, 1.0, 0.0, 5, 0)
-        for k in range(p.knot_count):
-            assert p.interpolate(k / 7) == p.values[k]
+        ks = np.arange(p.knot_count)
+        np.testing.assert_array_equal(_interp(p, ks / 7), p.values)
 
     def test_midpoint(self):
         p = generate_path(4, 1.0, 0.0, 5, 1)
-        for k in range(4):
-            t = (k / 4 + (k + 1) / 4) / 2
-            expected = (p.values[k] + p.values[k + 1]) / 2
-            assert p.interpolate(t) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        ks = np.arange(4)
+        ts = (ks / 4 + (ks + 1) / 4) / 2
+        expected = (p.values[:-1] + p.values[1:]) / 2
+        assert _interp(p, ts) == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
     def test_linearity_unit_path(self):
         p = BrownianPath(n=1, values=np.array([0.0, 1.0]), master_seed=0, sample_index=0)
-        assert p.interpolate(0.25) == 0.25
-        assert p.interpolate(0.5) == 0.5
-        assert p.interpolate(1.0) == 1.0
+        np.testing.assert_array_equal(_interp(p, [0.25, 0.5, 1.0]), [0.25, 0.5, 1.0])
 
     def test_out_of_range(self):
+        # the scalar reference refuses times off the stored knots
         p = generate_path(4, 1.0, 0.0, 5, 0)
         with pytest.raises(ValueError):
-            p.interpolate(-0.01)
+            oracles.interpolate(p, -0.01)
         with pytest.raises(ValueError):
-            p.interpolate(1.01)
+            oracles.interpolate(p, 1.01)
 
     def test_random_points_between_knots(self):
         p = generate_path(16, 1.0, 0.0, 5, 2)
-        rng = np.random.default_rng(0)
-        for t in rng.uniform(0, 1, 100):
-            k = min(int(t * 16), 15)
-            lo, hi = sorted((p.values[k], p.values[k + 1]))
-            assert lo - 1e-12 <= p.interpolate(t) <= hi + 1e-12
+        ts = np.random.default_rng(0).uniform(0, 1, 100)
+        ks = np.minimum((ts * 16).astype(int), 15)
+        lo = np.minimum(p.values[ks], p.values[ks + 1])
+        hi = np.maximum(p.values[ks], p.values[ks + 1])
+        got = _interp(p, ts)
+        assert np.all((lo - 1e-12 <= got) & (got <= hi + 1e-12))
+        np.testing.assert_array_equal(got, [oracles.interpolate(p, t) for t in ts])
 
 
 class TestSubsampling:
@@ -130,8 +137,8 @@ class TestSubsampling:
         n, m = 16, 4
         p = generate_path(n, 1.0, 0.0, 9, 0)
         q = p.subsample(m)
-        for k in range(q.knot_count):
-            assert q.interpolate(k / (n // m)) == p.interpolate(k * m / n)
+        ks = np.arange(q.knot_count)
+        np.testing.assert_array_equal(_interp(q, ks / (n // m)), _interp(p, ks * m / n))
 
     def test_subsampled_path_cannot_extend(self):
         p = generate_path(8, 1.0, 0.0, 3, 0)
@@ -150,16 +157,3 @@ class TestStatisticalSanity:
         assert abs(terminals.mean()) < 0.02
         assert 0.97 <= terminals.var(ddof=1) <= 1.03
 
-
-class TestCsvDump:
-    def test_columns_and_roundtrip(self):
-        p = generate_path(4, 1.0, 0.25, 1, 0)
-        buf = io.StringIO()
-        write_knots_csv(p, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "knot_index,time,value"
-        assert len(lines) == 1 + p.knot_count
-        k, t, v = lines[2].split(",")
-        assert int(k) == 1
-        assert float(t) == 0.25
-        assert float(v) == p.values[1]

@@ -85,6 +85,20 @@ class TestCmdRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "resolutions" in capsys.readouterr().err
 
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys):
+        for old, new, field in [
+            ("T              = 1.0", "T = nan", "T"),
+            ("T              = 1.0", "T = inf", "T"),
+            ("p              = 2", "p = nan", "p"),
+            ("p              = 2", "p = inf", "p"),
+            ("params         = 2.0, 1.0", "params = 2.0, nan", "params"),
+            ("master_seed    = 20260808", f"master_seed = {2**64}", "master_seed"),
+        ]:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(SMALL_CONFIG.replace(old, new))
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+            assert f"config error: {field}: " in capsys.readouterr().err
+
     def test_unknown_coefficient_lists_corpus(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CONFIG.replace("smooth-sin", "does-not-exist"))

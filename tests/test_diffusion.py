@@ -47,7 +47,7 @@ class TestCorpusValues:
         assert c.evaluate(0.0, 0.0) == 2.0
         assert c.evaluate(np.pi / 2, 0.0) == pytest.approx(3.0, rel=1e-15)
         assert c.time_lipschitz == 1.0
-        assert c.time_dependent
+        assert c.time_lipschitz > 0
 
     def test_step_mollified_levels_and_ramp(self):
         c = builtin_coefficient("step-mollified", [1.0, 2.0, 0.0, 0.5])

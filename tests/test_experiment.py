@@ -60,6 +60,16 @@ class TestConfigValidation:
             _config(samples=0)
         with pytest.raises(ConfigError, match="master_seed"):
             _config(master_seed=-3)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="^T: "):
+                _config(sde_horizon=value)
+            with pytest.raises(ConfigError, match="^p: "):
+                _config(p=value)
+            with pytest.raises(ConfigError, match="^params: "):
+                _config(params=(2.0, value))
+        with pytest.raises(ConfigError, match="^master_seed: "):
+            _config(master_seed=2**64)
+        assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
         with pytest.raises(ConfigError, match="scheme"):
             _config(scheme="midpoint")
 
@@ -164,6 +174,53 @@ class TestOneSample:
         res = strong_error_one_sample(cfg, 0)
         assert res.inverse_clock_sup is None
         assert np.all(res.sup_errors > 0)
+
+
+class TestDriverExtension:
+    """A driver provisioned too short is extended, and no path changes."""
+
+    @staticmethod
+    def _stingy(monkeypatch):
+        import tcsde.experiment as exp
+        from tcsde.brownian import BrownianPath
+
+        calls = []
+        extended = BrownianPath.extended
+
+        def counted(self, horizon):
+            calls.append(horizon)
+            return extended(self, horizon)
+
+        monkeypatch.setattr(exp, "required_horizon", lambda *a: 0.25)
+        monkeypatch.setattr(BrownianPath, "extended", counted)
+        return calls
+
+    def test_under_provisioned_sample_is_bit_identical(self, monkeypatch):
+        cfg = _config(samples=4)
+        reference = strong_error_one_sample(cfg, 2)
+        calls = self._stingy(monkeypatch)
+        stingy = strong_error_one_sample(cfg, 2)
+        assert len(calls) > 1
+        for field in ("sup_errors", "inverse_clock_sup", "clock_sup"):
+            np.testing.assert_array_equal(getattr(stingy, field), getattr(reference, field))
+
+    def test_under_provisioned_dump_is_bit_identical(self, monkeypatch, tmp_path):
+        from tcsde.cli import main
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "".join(
+                f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                for key, v in _config().to_mapping().items()
+            )
+        )
+        argv = ["dump-path", str(cfg), "--sample", "5", "--n", "16", "--out"]
+        assert main(argv + [str(tmp_path / "a")]) == 0
+        calls = self._stingy(monkeypatch)
+        assert main(argv + [str(tmp_path / "b")]) == 0
+        assert len(calls) > 1
+        dumped = [(tmp_path / d / "path-5-16.csv").read_bytes() for d in ("a", "b")]
+        assert dumped[0] == dumped[1]
 
 
 class TestRunExperiment:

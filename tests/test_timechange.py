@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import SMOOTH, DiffusionCoefficient, builtin_coefficient
 from tcsde.errors import ContractViolationError, PathExhaustedError
-from tcsde.timechange import (
-    SamplePath,
-    build_time_change,
-    required_horizon,
-    simulate_sample_path,
-)
+from tcsde.experiment import ExperimentConfig, sample_paths
+from tcsde.timechange import SamplePath, build_time_change, required_horizon
 
 SEED = 20260808
 
@@ -28,7 +25,25 @@ def _coeff(name):
 
 
 def _sample(name, n, sample_index, t_end=1.0, x0=0.0):
-    return simulate_sample_path(_coeff(name), t_end, x0, n, SEED, sample_index)
+    # the experiment's sampler with a one-level ladder: a driver generated
+    # directly at resolution n
+    config = ExperimentConfig(
+        coefficient=name,
+        params=CORPUS_PARAMS[name],
+        sde_horizon=t_end,
+        x0=x0,
+        resolutions=(n,),
+        ref_resolution=n,
+        p=2.0,
+        samples=sample_index + 1,
+        master_seed=SEED,
+    )
+    return sample_paths(config, _coeff(name), sample_index)[n]
+
+
+def _clock_at(tc, s):
+    """Clock values at Brownian times s, the vectorized twin of oracles.clock_value."""
+    return _kernels.pl_eval_many(tc.knots_s, tc.clock, s)
 
 
 class TestClockConstruction:
@@ -52,23 +67,23 @@ class TestClockConstruction:
         # clock slope >= 1/C2^2, so the stop knot is within C2^2*T + 1/n
         for name in CORPUS_PARAMS:
             c = _coeff(name)
-            sp = simulate_sample_path(c, 1.0, 0.0, 16, SEED, 1)
+            sp = _sample(name, 16, 1)
             budget = c.c2**2 * 1.0 + 1.0 / 16 + 1e-9
-            assert sp.time_change.last_brownian_time <= budget
+            assert sp.time_change.knots_s[-1] <= budget
 
     def test_slopes_within_coefficient_bounds(self):
         for name in CORPUS_PARAMS:
             c = _coeff(name)
             for i in range(3):
-                sp = simulate_sample_path(c, 1.0, 0.0, 8, SEED, i)
-                slopes = np.diff(sp.time_change.clock) * sp.n
+                sp = _sample(name, 8, i)
+                slopes = np.diff(sp.time_change.clock) * sp.driver.n
                 assert np.all(np.diff(sp.time_change.clock) > 0)
                 assert np.all(slopes >= 1.0 / c.c2**2 * (1 - 1e-12))
                 assert np.all(slopes <= 1.0 / c.c1**2 * (1 + 1e-12))
 
     def test_clock_between_linear_envelopes(self):
         c = _coeff("smooth-sin")
-        sp = simulate_sample_path(c, 1.0, 0.0, 64, SEED, 2)
+        sp = _sample("smooth-sin", 64, 2)
         s = sp.time_change.knots_s
         clock = sp.time_change.clock
         assert np.all(clock >= s / c.c2**2 * (1 - 1e-12))
@@ -111,25 +126,22 @@ class TestInversion:
         for name in ("constant", "smooth-sin", "holder-root"):
             sp = _sample(name, 16, 4)
             tc = sp.time_change
-            for k in range(tc.knot_count):
-                got = tc.invert(tc.clock[k])
-                want = k / tc.n
-                assert abs(got - want) <= np.spacing(max(want, 1e-300)), (name, k)
+            got = tc.invert_many(tc.clock)
+            want = np.arange(tc.knot_count) / tc.n
+            assert np.all(np.abs(got - want) <= np.spacing(np.maximum(want, 1e-300))), name
 
     def test_constant_sigma_inverse_linear(self):
         sp = _sample("constant", 8, 0)
         tc = sp.time_change
-        rng = np.random.default_rng(1)
-        for t in rng.uniform(0, 1, 50):
-            assert tc.invert(t) == pytest.approx(4.0 * t, rel=1e-14)
+        ts = np.random.default_rng(1).uniform(0, 1, 50)
+        assert tc.invert_many(ts) == pytest.approx(4.0 * ts, rel=1e-14)
 
     def test_midpoint_between_knots(self):
         sp = _sample("smooth-sin", 8, 5)
         tc = sp.time_change
-        for k in range(tc.knot_count - 1):
-            mid = (tc.clock[k] + tc.clock[k + 1]) / 2
-            expected = (k + 0.5) / tc.n
-            assert tc.invert(mid) == pytest.approx(expected, rel=1e-13)
+        mids = (tc.clock[:-1] + tc.clock[1:]) / 2
+        expected = (np.arange(tc.knot_count - 1) + 0.5) / tc.n
+        assert tc.invert_many(mids) == pytest.approx(expected, rel=1e-13)
 
     def test_value_inverts_roundtrip(self):
         # clock(invert(t)) == t to 1e-12 relative, clock evaluated by the
@@ -139,67 +151,66 @@ class TestInversion:
             tc = sp.time_change
             rng = np.random.default_rng(2)
             ts = rng.uniform(0, float(tc.clock[-1]), 1000)
-            for t in ts:
-                back = tc.value(tc.invert(t))
-                assert abs(back - t) <= 1e-12 * max(1.0, abs(t)), name
+            taus = tc.invert_many(ts)
+            back = _clock_at(tc, taus)
+            assert np.all(np.abs(back - ts) <= 1e-12 * np.maximum(1.0, np.abs(ts))), name
+            np.testing.assert_array_equal(back, [oracles.clock_value(tc, s) for s in taus])
 
     def test_monotone_in_queries(self):
         sp = _sample("holder-root", 32, 7)
         tc = sp.time_change
         ts = np.sort(np.random.default_rng(3).uniform(0, 1, 500))
-        taus = np.array([tc.invert(t) for t in ts])
+        taus = tc.invert_many(ts)
         assert np.all(np.diff(taus) > 0)
 
     def test_inverse_bounded_by_c2_squared_t(self):
         for name in CORPUS_PARAMS:
             c = _coeff(name)
-            sp = simulate_sample_path(c, 1.0, 0.0, 32, SEED, 8)
-            tc = sp.time_change
-            for t in np.linspace(0, 1, 37):
-                assert tc.invert(t) <= c.c2**2 * t + 1e-12
+            tc = _sample(name, 32, 8).time_change
+            ts = np.linspace(0, 1, 37)
+            assert np.all(tc.invert_many(ts) <= c.c2**2 * ts + 1e-12), name
 
     def test_out_of_range_rejected(self):
         tc = _sample("constant", 8, 0).time_change
         with pytest.raises(ValueError):
-            tc.invert(-0.1)
+            tc.invert_many([-0.1])
         with pytest.raises(ValueError):
-            tc.invert(float(tc.clock[-1]) + 0.1)
+            tc.invert_many([float(tc.clock[-1]) + 0.1])
 
     def test_invert_many_matches_scalar(self):
         tc = _sample("smooth-sin", 16, 9).time_change
         ts = np.random.default_rng(4).uniform(0, float(tc.clock[-1]), 200)
         batch = tc.invert_many(ts)
-        scalar = np.array([tc.invert(t) for t in ts])
+        scalar = np.array([oracles.clock_invert(tc, t) for t in ts])
         np.testing.assert_array_equal(batch, scalar)
 
 
 class TestSolutionEvaluation:
     def test_starts_at_x0(self):
         sp = _sample("smooth-sin", 8, 0, x0=1.25)
-        assert sp.evaluate(0.0) == 1.25
+        assert sp.evaluate_many([0.0])[0] == 1.25
 
     def test_constant_sigma_hits_driver_knots_exactly(self):
         # sigma=2: clock knot k sits at k/(4n), where the solution equals the
         # driver knot value with zero error
         for n in (4, 16, 64):
             sp = _sample("constant", n, 1)
-            for k in range(sp.time_change.knot_count):
-                t = k / (n * 4.0)
-                if t > 1.0:
-                    break
-                assert sp.evaluate(t) == sp.driver.values[k]
+            ts = np.arange(sp.time_change.knot_count) / (n * 4.0)
+            ts = ts[ts <= 1.0]
+            np.testing.assert_array_equal(sp.evaluate_many(ts), sp.driver.values[: len(ts)])
 
     def test_constant_sigma_matches_rescaled_driver_everywhere(self):
         sp = _sample("constant", 8, 2)
-        for t in sp.breakpoints():
-            assert sp.evaluate(float(t)) == sp.driver.interpolate(4.0 * float(t))
+        pts = sp.breakpoints()
+        rescaled = [oracles.interpolate(sp.driver, 4.0 * float(t)) for t in pts]
+        np.testing.assert_array_equal(sp.evaluate_many(pts), rescaled)
 
     def test_frozen_seeded_value_against_dual_implementation(self):
         # smooth-sin(2,1), n=4, sample 3, t=0.5: value pinned by the
         # straight-line oracle in oracles.py
         coeff = _coeff("smooth-sin")
         sp = _sample("smooth-sin", 4, 3)
-        lib = sp.evaluate(0.5)
+        lib = sp.evaluate_many([0.5])[0]
         ref = oracles.solution_value(sp.driver.values, 4, coeff.evaluate, 1.0, 0.5)
         assert abs(lib - ref) <= 1e-12
         assert lib == pytest.approx(0.3864459893187013, abs=1e-12)
@@ -208,24 +219,26 @@ class TestSolutionEvaluation:
         rng = np.random.default_rng(5)
         for name in CORPUS_PARAMS:
             coeff = _coeff(name)
-            sp = simulate_sample_path(coeff, 1.0, 0.0, 8, SEED, 10)
-            for t in rng.uniform(0, 1, 20):
-                ref = oracles.solution_value(sp.driver.values, 8, coeff.evaluate, 1.0, t)
-                assert abs(sp.evaluate(t) - ref) <= 1e-12, name
+            sp = _sample(name, 8, 10)
+            ts = rng.uniform(0, 1, 20)
+            ref = [oracles.solution_value(sp.driver.values, 8, coeff.evaluate, 1.0, t) for t in ts]
+            assert np.all(np.abs(sp.evaluate_many(ts) - ref) <= 1e-12), name
 
     def test_evaluate_many_matches_scalar(self):
         sp = _sample("holder-root", 16, 11)
         ts = np.random.default_rng(6).uniform(0, 1, 300)
         batch = sp.evaluate_many(ts)
-        scalar = np.array([sp.evaluate(t) for t in ts])
+        scalar = np.array(
+            [oracles.interpolate(sp.driver, oracles.clock_invert(sp.time_change, t)) for t in ts]
+        )
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
 
     def test_domain_enforced(self):
         sp = _sample("constant", 8, 0)
         with pytest.raises(ValueError):
-            sp.evaluate(-0.01)
+            sp.evaluate_many([-0.01])
         with pytest.raises(ValueError):
-            sp.evaluate(1.01)
+            sp.evaluate_many([1.01])
 
     def test_resolution_mismatch_rejected(self):
         sp = _sample("constant", 8, 0)
@@ -291,8 +304,8 @@ class TestDiscreteInverseClockBound:
             )
 
             s_hi = min(
-                tc_coarse.last_brownian_time,
-                tc_fine.last_brownian_time,
+                tc_coarse.knots_s[-1],
+                tc_fine.knots_s[-1],
                 c.c2**2 * t_end,
             )
             grid_s = np.union1d(
@@ -300,12 +313,7 @@ class TestDiscreteInverseClockBound:
                 tc_fine.knots_s[tc_fine.knots_s <= s_hi],
             )
             grid_s = np.append(grid_s, s_hi)
-            clock_gap = np.max(
-                np.abs(
-                    np.array([tc_coarse.value(s) for s in grid_s])
-                    - np.array([tc_fine.value(s) for s in grid_s])
-                )
-            )
+            clock_gap = np.max(np.abs(_clock_at(tc_coarse, grid_s) - _clock_at(tc_fine, grid_s)))
             assert inv_gap <= c.c2**2 * clock_gap + 1e-10, name
 
 
@@ -317,26 +325,5 @@ class TestDegenerateGuards:
             n=2, clock=np.array([0.0, 1e-320, 2.0]), sde_horizon=1.0
         )
         with pytest.raises(ContractViolationError):
-            tc.invert(5e-321)
+            tc.invert_many([5e-321])
 
-
-class TestDriverExtension:
-    def test_under_provisioned_horizon_gives_identical_path(self, monkeypatch):
-        # force the initial horizon far too short: the extension loop must
-        # kick in and, because extension preserves the stream prefix, the
-        # result must match the generously provisioned run bit for bit
-        import tcsde.timechange as tm
-
-        coeff = _coeff("smooth-sin")
-        reference = simulate_sample_path(coeff, 1.0, 0.0, 16, SEED, 21)
-
-        monkeypatch.setattr(tm, "required_horizon", lambda *a: 0.25)
-        stingy = tm.simulate_sample_path(coeff, 1.0, 0.0, 16, SEED, 21)
-
-        np.testing.assert_array_equal(
-            stingy.time_change.clock, reference.time_change.clock
-        )
-        kc = reference.time_change.knot_count
-        np.testing.assert_array_equal(
-            stingy.driver.values[:kc], reference.driver.values[:kc]
-        )
