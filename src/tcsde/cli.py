@@ -3,8 +3,8 @@
 Config files are flat ``key = value`` text (see README for the schema and a
 committed example). Reports are written as report.json plus report.csv with
 round-trip float formatting; existing files are never overwritten without
---force. Exit codes: 0 success, 2 configuration problems, 3 runtime contract
-breaches.
+--force. Exit codes: 0 success, 2 configuration problems (the message names
+the key), 3 runtime failures (a failed sample, a dead worker process).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .diffusion import SMOOTH
-from .errors import ConfigError, ExperimentError, TcsdeError
+from .errors import ConfigError, TcsdeError
 from .experiment import (
     SCHEME_COMPARE,
     ExperimentConfig,
@@ -39,11 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_LIST_KEYS = {"params", "resolutions"}
-
 
 def parse_config_file(path: str | Path) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment, lists use commas."""
+    """Parse flat ``key = value`` lines into strings; '#' starts a comment."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -61,9 +59,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        mapping[key] = (
-            [v.strip() for v in value.split(",")] if key in _LIST_KEYS else value
-        )
+        mapping[key] = value
     return mapping
 
 
@@ -74,7 +70,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     if overrides.samples is not None:
         mapping["samples"] = overrides.samples
     if getattr(overrides, "resolutions", None):
-        mapping["resolutions"] = overrides.resolutions.split(",")
+        mapping["resolutions"] = overrides.resolutions
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -129,21 +125,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = _prepare_outputs(args.out, ["report.json", "report.csv"], args.force)
     jobs = args.jobs if args.jobs else default_jobs()
     if config.scheme == SCHEME_COMPARE:
-        comparison = compare_schemes(config, jobs=jobs)
-        _write_json(out / "report.json", comparison.to_json_dict())
-        rows = [["scheme"] + comparison.time_change.csv_rows()[0]]
-        for name, rep in (
-            ("time-change", comparison.time_change),
-            ("euler-maruyama", comparison.euler_maruyama),
-        ):
-            rows.extend([name] + r for r in rep.csv_rows()[1:])
-        _write_csv(out / "report.csv", rows)
-        _print_report(comparison.time_change, coeff)
-        _print_report(comparison.euler_maruyama, coeff)
+        result = compare_schemes(config, jobs=jobs)
+        reports = (result.time_change, result.euler_maruyama)
     else:
-        report = run_experiment(config, jobs=jobs)
-        _write_json(out / "report.json", report.to_json_dict())
-        _write_csv(out / "report.csv", report.csv_rows())
+        result = run_experiment(config, jobs=jobs)
+        reports = (result,)
+    _write_json(out / "report.json", result.to_json_dict())
+    _write_csv(out / "report.csv", result.csv_rows())
+    for report in reports:
         _print_report(report, coeff)
     _write_manifest(out, args, config)
     return EXIT_OK
@@ -214,9 +203,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ExperimentError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except TcsdeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import _kernels
 
@@ -222,6 +221,9 @@ def check_contract(
     Hoelder ratio |sigma(t,x) - sigma(t,y)| / |x - y|^beta. Violations are
     reported, never raised. Deterministic for a given seed.
     """
+    # imported here: scipy.stats takes most of the package's import time
+    from scipy.stats import qmc
+
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     (t_lo, t_hi), (x_lo, x_hi) = domain

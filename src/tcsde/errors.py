@@ -27,3 +27,8 @@ class ExperimentError(TcsdeError):
         super().__init__(f"sample {sample_index} failed in {module}: {message}")
         self.sample_index = sample_index
         self.module = module
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its fields, so a process pool can send it back
+        return type(self), (self.sample_index, self.module, self.message)

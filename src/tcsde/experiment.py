@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -26,7 +27,7 @@ from . import __version__, _kernels
 from .baseline import em_simulate
 from .brownian import generate_path
 from .diffusion import DiffusionCoefficient, builtin_coefficient
-from .errors import ConfigError, ExperimentError, PathExhaustedError
+from .errors import ConfigError, ExperimentError, PathExhaustedError, TcsdeError
 from .timechange import (
     PiecewiseLinearPath,
     SamplePath,
@@ -65,6 +66,27 @@ OVERLAY_ALPHA = 0.49
 #: resolutions whose mean error sits below this floor are excluded from the
 #: regression; they measure rounding noise, not convergence
 ERROR_FLOOR = 1e-12
+
+
+def _list_of(item):
+    """Parser of a list key: a comma-separated string or a sequence."""
+    return lambda v: tuple(map(item, v.split(",") if isinstance(v, str) else v))
+
+
+#: (config key, ExperimentConfig field, parser) for every config key; only
+#: ``scheme`` may be left out, and then takes the field's default
+_KEYS = (
+    ("coefficient", "coefficient", str),
+    ("params", "params", _list_of(float)),
+    ("T", "sde_horizon", float),
+    ("x0", "x0", float),
+    ("resolutions", "resolutions", _list_of(int)),
+    ("ref_resolution", "ref_resolution", int),
+    ("p", "p", float),
+    ("samples", "samples", int),
+    ("master_seed", "master_seed", int),
+    ("scheme", "scheme", str),
+)
 
 
 @dataclass(frozen=True)
@@ -135,7 +157,7 @@ class ExperimentConfig:
                 f"largest ladder resolution {max(self.resolutions)}"
             )
         coeff = self.build_coefficient()
-        if self.scheme == SCHEME_EULER_MARUYAMA and coeff.holder_beta < 0.5:
+        if self.scheme != SCHEME_TIME_CHANGE and coeff.holder_beta < 0.5:
             raise ConfigError(
                 "scheme: the Euler-Maruyama baseline requires a declared spatial "
                 f"Hoelder exponent >= 0.5 (got beta={coeff.holder_beta}); no strong "
@@ -144,54 +166,28 @@ class ExperimentConfig:
             )
 
     def to_mapping(self) -> dict:
-        return {
-            "coefficient": self.coefficient,
-            "params": list(self.params),
-            "T": self.sde_horizon,
-            "x0": self.x0,
-            "resolutions": list(self.resolutions),
-            "ref_resolution": self.ref_resolution,
-            "p": self.p,
-            "samples": self.samples,
-            "master_seed": self.master_seed,
-            "scheme": self.scheme,
-        }
+        mapping = {key: getattr(self, name) for key, name, _ in _KEYS}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in mapping.items()}
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "ExperimentConfig":
-        known = {
-            "coefficient",
-            "params",
-            "T",
-            "x0",
-            "resolutions",
-            "ref_resolution",
-            "p",
-            "samples",
-            "master_seed",
-            "scheme",
-        }
-        unknown = set(mapping) - known
+        keys = {key for key, _, _ in _KEYS}
+        unknown = set(mapping) - keys
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        missing = known - set(mapping) - {"scheme"}
+        missing = keys - set(mapping) - {"scheme"}
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(sorted(missing))}")
-        try:
-            return cls(
-                coefficient=str(mapping["coefficient"]),
-                params=tuple(float(v) for v in mapping["params"]),
-                sde_horizon=float(mapping["T"]),
-                x0=float(mapping["x0"]),
-                resolutions=tuple(int(v) for v in mapping["resolutions"]),
-                ref_resolution=int(mapping["ref_resolution"]),
-                p=float(mapping["p"]),
-                samples=int(mapping["samples"]),
-                master_seed=int(mapping["master_seed"]),
-                scheme=str(mapping.get("scheme", SCHEME_TIME_CHANGE)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        fields = {}
+        for key, name, parse in _KEYS:
+            if key in mapping:
+                try:
+                    fields[name] = parse(mapping[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"{key}: malformed value {mapping[key]!r} ({exc})"
+                    ) from exc
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -323,15 +319,13 @@ def _origin_module(exc: Exception) -> str:
     return module
 
 
-def _worker(mapping: dict, sample_index: int):
-    # top-level so process pools can pickle it; failures come back as values
-    # to keep the failing sample index attributable
+def _run_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
+    # module-level so process pools can pickle it; the error it raises
+    # pickles by its fields, so a pool re-raises it unchanged
     try:
-        config = ExperimentConfig.from_mapping(mapping)
-        result = strong_error_one_sample(config, sample_index)
-        return ("ok", result)
+        return strong_error_one_sample(config, sample_index)
     except Exception as exc:  # noqa: BLE001 - reported with the sample index
-        return ("error", sample_index, _origin_module(exc), str(exc))
+        raise ExperimentError(sample_index, _origin_module(exc), str(exc)) from exc
 
 
 def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
@@ -404,29 +398,26 @@ class SchemeComparison:
             "euler_maruyama": self.euler_maruyama.to_json_dict(),
         }
 
+    def csv_rows(self) -> list[list]:
+        """Both reports' rows, each led by its scheme name."""
+        rows = [["scheme"] + self.time_change.csv_rows()[0]]
+        for rep in (self.time_change, self.euler_maruyama):
+            rows.extend([rep.scheme] + row for row in rep.csv_rows()[1:])
+        return rows
+
 
 def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
+    """Every sample's result in index order; raises at the first failing index."""
     indices = range(config.samples)
     if jobs <= 1:
-        coeff = config.build_coefficient()
-        sampler = _em_sample if config.scheme == SCHEME_EULER_MARUYAMA else _tc_sample
-        results = []
-        for i in indices:
-            try:
-                results.append(sampler(config, coeff, i))
-            except Exception as exc:
-                raise ExperimentError(i, _origin_module(exc), str(exc)) from exc
-        return results
-    mapping = config.to_mapping()
+        return [_run_sample(config, i) for i in indices]
     chunk = max(1, config.samples // (jobs * 8))
-    out: list[SampleResult] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for item in pool.map(_worker, [mapping] * config.samples, indices, chunksize=chunk):
-            if item[0] == "error":
-                _, idx, kind, message = item
-                raise ExperimentError(idx, kind, message)
-            out.append(item[1])
-    return out
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            configs = [config] * config.samples
+            return list(pool.map(_run_sample, configs, indices, chunksize=chunk))
+    except BrokenProcessPool as exc:
+        raise TcsdeError(f"a worker process died: {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> RateReport:
@@ -443,21 +434,30 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
 
     errs = np.stack([r.sup_errors for r in results])
     p = config.p
-    powered = errs**p
-    lp_mean = np.mean(powered, axis=0) ** (1.0 / p)
-    m = config.samples
-    se_pow = np.std(powered, axis=0, ddof=1) / np.sqrt(m)
-    # delta method: d/dm m^(1/p) = (1/p) m^(1/p - 1)
-    stderr = np.where(lp_mean > 0, lp_mean ** (1.0 - p) / p * se_pow, 0.0)
+    # a large p can overflow or underflow errs**p: such a level is refused,
+    # not warned about, when its mean or spread is lost to zero or infinity
+    with np.errstate(all="ignore"):
+        powered = errs**p
+        lp_mean = np.mean(powered, axis=0) ** (1.0 / p)
+        m = config.samples
+        se_pow = np.std(powered, axis=0, ddof=1) / np.sqrt(m)
+        # delta method: d/dm m^(1/p) = (1/p) m^(1/p - 1)
+        stderr = np.where(lp_mean > 0, lp_mean ** (1.0 - p) / p * se_pow, 0.0)
+        lost = (np.any(errs > 0, axis=0) & (lp_mean == 0)) | ~np.isfinite(lp_mean + stderr)
+        lost |= (se_pow == 0) & (powered.max(axis=0) > powered.min(axis=0))
+    if lost.any():
+        n = config.resolutions[int(np.argmax(lost))]
+        raise ConfigError(
+            f"p: {p} is too large: at n={n} the L^p mean error or its stderr "
+            "leaves the float64 range"
+        )
 
     coeff = config.build_coefficient()
     usable = lp_mean >= ERROR_FLOOR
     excluded = [int(n) for n, u in zip(config.resolutions, usable) if not u]
     ns_fit = np.asarray(config.resolutions)[usable]
     if len(ns_fit) < 2:
-        raise ExperimentError(
-            -1, "experiment", "fewer than two resolutions above the error floor"
-        )
+        raise TcsdeError(f"fewer than two resolutions above the error floor {ERROR_FLOOR}")
     fitted, fit_se = fit_loglog(ns_fit, lp_mean[usable])
 
     diagnostics = {
@@ -497,13 +497,7 @@ def compare_schemes(config: ExperimentConfig, jobs: Optional[int] = None) -> Sch
     the Euler-Maruyama baseline has no strong-convergence guarantee there,
     so its self-convergence slope would not measure a limit object.
     """
-    coeff = config.build_coefficient()
-    if coeff.holder_beta < 0.5:
-        raise ConfigError(
-            "scheme: cannot compare against Euler-Maruyama for declared "
-            f"beta={coeff.holder_beta} < 0.5 (no strong-convergence target "
-            "exists for the baseline on such rough coefficients)"
-        )
+    replace(config, scheme=SCHEME_COMPARE).validate_for_run()
     tc = run_experiment(replace(config, scheme=SCHEME_TIME_CHANGE), jobs=jobs)
     em = run_experiment(replace(config, scheme=SCHEME_EULER_MARUYAMA), jobs=jobs)
     return SchemeComparison(time_change=tc, euler_maruyama=em)

@@ -37,11 +37,6 @@ __all__ = [
     "write_solution_csv",
 ]
 
-#: guard against division by a vanishing clock step; impossible while the
-#: declared bounds hold (steps are >= 1/(n*C2^2)) so hitting it means the
-#: coefficient lied.
-MIN_CLOCK_STEP = 1e-300
-
 
 @dataclass(frozen=True)
 class TimeChangePath:
@@ -64,24 +59,6 @@ class TimeChangePath:
     def knots_s(self) -> np.ndarray:
         """Brownian-time knots 0, 1/n, ..., K/n."""
         return np.arange(self.knot_count) / self.n
-
-    def invert_many(self, t: np.ndarray) -> np.ndarray:
-        """Brownian times at which the clock reaches SDE times t; exact at knots."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < 0.0 or t.max() > self.clock[-1]):
-            raise ValueError("SDE times outside the constructed clock range")
-        j = np.searchsorted(self.clock, t, side="right") - 1
-        last = j >= self.knot_count - 1
-        j = np.where(last, 0, j)
-        step = self.clock[j + 1] - self.clock[j]
-        degenerate = ~last & (step < MIN_CLOCK_STEP)
-        if degenerate.any():
-            k = int(np.argmax(degenerate))
-            raise ContractViolationError(
-                f"degenerate clock step {step[k]} at knot {j[k]}: coefficient bounds broken"
-            )
-        s = (j + (t - self.clock[j]) / step) / self.n
-        return np.where(last, (self.knot_count - 1) / self.n, s)
 
 
 def build_time_change(

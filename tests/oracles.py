@@ -8,7 +8,11 @@ so agreement with the package is a genuine dual-route check.
 import numpy as np
 
 from tcsde.errors import ContractViolationError
-from tcsde.timechange import MIN_CLOCK_STEP
+
+#: guard against division by a vanishing clock step; impossible while the
+#: declared bounds hold (steps are >= 1/(n*C2^2)) so hitting it means the
+#: coefficient lied.
+MIN_CLOCK_STEP = 1e-300
 
 
 def clock_euler(driver_values, n, sigma, t_end):
@@ -80,8 +84,9 @@ def fit_slope_polyfit(ns, errors):
 
 # The scalar twins of the package's vectorized path code, kept verbatim as
 # references for it: TimeChangePath.value / invert and BrownianPath.interpolate.
-# Unlike the oracles above they share the package's degenerate-step guard
-# (MIN_CLOCK_STEP, ContractViolationError), which invert_many must match.
+# The package reads the inverse clock as the piecewise-linear path through the
+# swapped knots (clock, knots_s); clock_invert keeps the closed form per knot
+# interval, with its degenerate-step guard (MIN_CLOCK_STEP).
 
 
 def clock_value(self, s):

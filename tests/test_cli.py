@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +97,10 @@ class TestCmdRun:
             ("p              = 2", "p = inf", "p"),
             ("params         = 2.0, 1.0", "params = 2.0, nan", "params"),
             ("master_seed    = 20260808", f"master_seed = {2**64}", "master_seed"),
+            ("samples        = 12", "samples = 1.5", "samples"),
+            ("master_seed    = 20260808", "master_seed = abc", "master_seed"),
+            ("resolutions    = 16, 32, 64", "resolutions = 4, x", "resolutions"),
+            ("ref_resolution = 512", "ref_resolution = 1e3", "ref_resolution"),
         ]:
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(SMALL_CONFIG.replace(old, new))
@@ -271,3 +279,27 @@ class TestRuntimeErrors:
         code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert code == 3
         assert "sample 0" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched sampler only under the fork start method",
+    )
+    def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        import tcsde.experiment as exp
+
+        monkeypatch.setattr(exp, "_tc_sample", lambda *args: os._exit(1))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"])
+        assert code == 3
+        assert "runtime error: a worker process died" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only check_contract needs it
+    code = "import sys, tcsde, tcsde.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

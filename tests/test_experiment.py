@@ -1,11 +1,14 @@
 import json
+import multiprocessing
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from tcsde.diffusion import builtin_coefficient
-from tcsde.errors import ConfigError, ExperimentError
+from tcsde.errors import ConfigError, ExperimentError, TcsdeError
 from tcsde.experiment import (
     SCHEME_COMPARE,
     SCHEME_EULER_MARUYAMA,
@@ -18,6 +21,12 @@ from tcsde.experiment import (
 )
 
 SEED = 20260808
+
+#: pool tests patch the package in this process; only forked workers see it
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see patched samplers only under the fork start method",
+)
 
 
 def _config(**overrides):
@@ -72,6 +81,15 @@ class TestConfigValidation:
         assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
         with pytest.raises(ConfigError, match="scheme"):
             _config(scheme="midpoint")
+        mapping = _config().to_mapping()
+        for key, value in [
+            ("samples", "1.5"),
+            ("master_seed", "abc"),
+            ("resolutions", ["4", "x"]),
+            ("ref_resolution", "1e3"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                ExperimentConfig.from_mapping({**mapping, key: value})
 
     def test_unknown_coefficient_surfaces_field(self):
         cfg = _config(coefficient="does-not-exist", params=(1.0,))
@@ -281,11 +299,13 @@ class TestRunExperiment:
         # noise and must be left out of the regression (but still reported)
         import tcsde.experiment as exp
 
+        sup_errors = np.array([0.5, 0.25, 1e-15])
+
         def synthetic(config, coeff, sample_index):
             return exp.SampleResult(
                 sample_index=sample_index,
                 resolutions=config.resolutions,
-                sup_errors=np.array([0.5, 0.25, 1e-15]),
+                sup_errors=sup_errors,
                 inverse_clock_sup=np.zeros(3),
                 clock_sup=np.zeros(3),
             )
@@ -298,22 +318,63 @@ class TestRunExperiment:
         assert rep.fitted_order == pytest.approx(1.0, abs=1e-12)
         assert rep.fit_stderr == pytest.approx(0.0, abs=1e-12)
 
-    def test_worker_envelope_reports_failures(self, monkeypatch):
-        # the function shipped to pool workers returns failures as values so
-        # the reducer can attribute the sample index and module
+        # a run left with one usable level fails as a whole, not as a sample
+        sup_errors[1] = 1e-15
+        with pytest.raises(TcsdeError, match="error floor") as err:
+            run_experiment(cfg, jobs=1)
+        assert not isinstance(err.value, ExperimentError)
+
+    @pytest.mark.parametrize(
+        "p, resolutions, ref_resolution, samples, master_seed",
+        [
+            (1e6, (4, 8), 64, 4, SEED),  # every errs**p underflows to 0
+            (500.0, (4, 8, 256), 4096, 2, 0),  # one level's L^p mean is 0
+            (500.0, (4, 8, 256), 4096, 4, 0),  # one level's stderr is NaN
+            (500.0, (4, 8, 256), 4096, 4, SEED),  # one level's spread underflows
+        ],
+    )
+    def test_p_beyond_float_range_is_config_error(
+        self, p, resolutions, ref_resolution, samples, master_seed
+    ):
+        # refused naming p, without numpy warnings
+        cfg = _config(
+            p=p,
+            resolutions=resolutions,
+            ref_resolution=ref_resolution,
+            samples=samples,
+            master_seed=master_seed,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^p: "):
+                run_experiment(cfg, jobs=1)
+
+    def test_experiment_error_pickles_by_fields(self):
+        err = pickle.loads(pickle.dumps(ExperimentError(3, "brownian", "synthetic")))
+        assert type(err) is ExperimentError
+        assert (err.sample_index, err.module, err.message) == (3, "brownian", "synthetic")
+        assert str(err) == "sample 3 failed in brownian: synthetic"
+
+    @needs_fork
+    def test_pool_failure_reports_sample_index(self, monkeypatch):
+        # workers raise the sample's own error; the first failing index in
+        # index order is the one reported
         import tcsde.experiment as exp
 
-        mapping = _config(samples=4).to_mapping()
-        tag, result = exp._worker(mapping, 2)
-        assert tag == "ok" and result.sample_index == 2
+        assert exp._run_sample(_config(samples=4), 2).sample_index == 2
+        original = exp._tc_sample
 
-        def boom(config, sample_index):
-            raise ValueError("synthetic")
+        def boom(config, coeff, sample_index):
+            if sample_index in (3, 5):
+                raise ValueError(f"synthetic failure {sample_index}")
+            return original(config, coeff, sample_index)
 
-        monkeypatch.setattr(exp, "strong_error_one_sample", boom)
-        tag, idx, module, message = exp._worker(mapping, 3)
-        assert tag == "error" and idx == 3
-        assert "synthetic" in message
+        monkeypatch.setattr(exp, "_tc_sample", boom)
+        with pytest.raises(ExperimentError) as err:
+            run_experiment(_config(samples=6), jobs=2)
+        assert err.value.sample_index == 3
+        assert err.value.module == "experiment"
+        assert "synthetic failure 3" in str(err.value)
 
     def test_failure_reports_sample_index(self, monkeypatch):
         import tcsde.experiment as exp
@@ -363,6 +424,20 @@ class TestCompareSchemes:
         cfg = _config(coefficient="holder-root", params=(1.0, 1.0, 0.3, 0.0))
         with pytest.raises(ConfigError, match="beta=0.3"):
             compare_schemes(cfg)
+
+    def test_rough_beta_refused_before_any_sample(self, monkeypatch):
+        import tcsde.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "_tc_sample", lambda *args: calls.append(args))
+        cfg = _config(
+            coefficient="holder-root", params=(1.0, 1.0, 0.3, 0.0), scheme=SCHEME_COMPARE
+        )
+        with pytest.raises(ConfigError, match="beta=0.3"):
+            cfg.validate_for_run()
+        with pytest.raises(ConfigError, match="beta=0.3"):
+            compare_schemes(cfg, jobs=1)
+        assert calls == []
 
     def test_beta_just_above_half_allowed(self):
         cfg = _config(
