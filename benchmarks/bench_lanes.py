@@ -97,7 +97,7 @@ def main() -> None:
         kind_args,
     )
     bench(
-        f"piecewise-linear sup (union of {tc_c.knot_count}+{tc_ref.knot_count} knots)",
+        f"piecewise-linear sup ({tc_c.knot_count}+{tc_ref.knot_count} knots)",
         _kernels._pl_sup_merge_nb if _kernels.HAVE_NUMBA else None,
         sup_args,
         _kernels._pl_sup_numpy,

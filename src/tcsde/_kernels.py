@@ -10,9 +10,12 @@ Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
     on the uniform Brownian grid, stopping at the first knot >= target time;
   * Euler-Maruyama recursion;
-  * exact sup of |A - B| for two piecewise-linear paths over the union of
-    their knots (the sup of a piecewise-linear difference is attained at a
-    knot, so the union grid is exact).
+  * exact sup of |A - B| for two piecewise-linear paths. The difference is
+    linear between consecutive knots of either path, so its sup is attained
+    at a knot of A, a knot of B or the right end. The merge walk visits the
+    knots of both in order; the numpy lane reads each path at the other's
+    knots with the arithmetic of pl_eval_many and builds no union grid, so
+    the lanes agree bit for bit.
 
 Builtin coefficients are dispatched by a small integer kind plus a params
 vector so the clock/EM loops stay inside compiled code; coefficients backed
@@ -273,17 +276,55 @@ def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.
     return np.where(last, knots_y[-1], val)
 
 
+def _max_abs_diff_at(q, y, kt, ky):
+    # max over i of |y[i] - P(q[i])|, P the piecewise-linear path (kt, ky),
+    # for ascending q >= kt[0]; 0.0 when q is empty. Each P(q[i]) is the float
+    # pl_eval_many gives: the same interval j, theta and interpolation.
+    m = int(np.searchsorted(q, kt[-1], side="left"))
+    best = np.max(np.abs(y[m:] - ky[-1]), initial=0.0)
+    q = q[:m]
+    if m > kt.shape[0]:
+        # many times on few knots: place the knots among the times and spread
+        # each interval's values over its times, instead of m searches
+        counts = np.diff(np.searchsorted(q, kt[1:-1], side="left"), prepend=0, append=m)
+        t0 = np.repeat(kt[:-1], counts)
+        y0 = np.repeat(ky[:-1], counts)
+        dt = np.repeat(np.diff(kt), counts)
+        dy = np.repeat(np.diff(ky), counts)
+    else:
+        j = np.searchsorted(kt, q, side="right") - 1
+        t0 = kt[j]
+        y0 = ky[j]
+        dt = kt[1:][j] - t0
+        dy = ky[1:][j] - y0
+    # y0 + (q - t0) / dt * dy, in place: fresh O(m) temporaries cost more
+    # than the arithmetic
+    d = q - t0
+    d /= dt
+    d *= dy
+    d += y0
+    d -= y[:m]
+    return np.abs(d, out=d).max(initial=best)
+
+
 def _pl_sup_numpy(ta, ya, tb, yb, t_hi):
-    grid = np.union1d(ta[ta <= t_hi], tb[tb <= t_hi])
-    if grid.size == 0 or grid[-1] < t_hi:
-        grid = np.append(grid, t_hi)
-    va = pl_eval_many(ta, ya, grid)
-    vb = pl_eval_many(tb, yb, grid)
-    return float(np.max(np.abs(va - vb)))
+    # The difference is linear between consecutive knots of either path, so its
+    # sup is attained at a knot of A, a knot of B, or t_hi. A path read at its
+    # own knot is exact, so each side reads only the other path.
+    ka = int(np.searchsorted(ta, t_hi, side="right"))
+    kb = int(np.searchsorted(tb, t_hi, side="right"))
+    at_hi = np.array([t_hi], dtype=np.float64)
+    d_hi = np.abs(pl_eval_many(ta, ya, at_hi) - pl_eval_many(tb, yb, at_hi))[0]
+    d_a = _max_abs_diff_at(ta[:ka], ya[:ka], tb, yb)
+    d_b = _max_abs_diff_at(tb[:kb], yb[:kb], ta, ya)
+    return float(np.max((d_hi, d_a, d_b)))
 
 
 def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:
-    """Exact sup over [0, t_hi] of |A - B| for piecewise-linear A, B."""
+    """Exact sup over [0, t_hi] of |A - B| for piecewise-linear A, B.
+
+    Both paths start at the same time and have strictly increasing knots.
+    """
     if USING_NUMBA:
         return float(_pl_sup_merge_nb(ta, ya, tb, yb, t_hi))
     return _pl_sup_numpy(ta, ya, tb, yb, t_hi)

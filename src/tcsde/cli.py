@@ -2,9 +2,11 @@
 
 Config files are flat ``key = value`` text (see README for the schema and a
 committed example). Reports are written as report.json plus report.csv with
-round-trip float formatting; existing files are never overwritten without
---force. Exit codes: 0 success, 2 configuration problems (the message names
-the key), 3 runtime failures (a failed sample, a dead worker process).
+round-trip float formatting, and manifest.json; existing files are never
+overwritten without --force. JSON is strict: a NaN or infinity is never
+written. Exit codes: 0 success, 2 configuration problems (the message names
+the key), 3 runtime failures (a failed sample, a dead worker process, a
+non-finite value in a report).
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise TcsdeError(f"{path}: refusing to write a non-finite value ({exc})") from exc
+    path.write_text(text + "\n")
 
 
 def _write_manifest(out: Path, args: argparse.Namespace, config: ExperimentConfig) -> None:
@@ -122,7 +128,9 @@ def _print_report(report, coeff, stream=None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     coeff = config.build_coefficient()
-    out = _prepare_outputs(args.out, ["report.json", "report.csv"], args.force)
+    out = _prepare_outputs(
+        args.out, ["report.json", "report.csv", "manifest.json"], args.force
+    )
     jobs = args.jobs if args.jobs else default_jobs()
     if config.scheme == SCHEME_COMPARE:
         result = compare_schemes(config, jobs=jobs)

@@ -4,8 +4,8 @@ One sample draws a single fine Brownian driver, builds the reference path at
 the finest resolution and every ladder path by subsampling the same driver,
 and takes the exact sup over [0, T] of each |coarse - reference| difference.
 Both paths are piecewise linear in SDE time, so the sup of their difference
-is attained at a breakpoint of one of them: evaluating on the union of both
-breakpoint sets is exact, no dense grid needed.
+is attained at a breakpoint of one of them or at T: reading each path at the
+other's breakpoints is exact, no dense grid needed.
 
 The L^p estimator is the plain Monte Carlo mean of p-th powers; the reported
 order is the least-squares slope of log(mean error) against log(1/n).
@@ -68,6 +68,14 @@ OVERLAY_ALPHA = 0.49
 ERROR_FLOOR = 1e-12
 
 
+def _integer(v):
+    """Parser of an integer key: refuses a number with a fractional part,
+    which int() would truncate."""
+    if not isinstance(v, str) and v != int(v):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _list_of(item):
     """Parser of a list key: a comma-separated string or a sequence."""
     return lambda v: tuple(map(item, v.split(",") if isinstance(v, str) else v))
@@ -80,11 +88,11 @@ _KEYS = (
     ("params", "params", _list_of(float)),
     ("T", "sde_horizon", float),
     ("x0", "x0", float),
-    ("resolutions", "resolutions", _list_of(int)),
-    ("ref_resolution", "ref_resolution", int),
+    ("resolutions", "resolutions", _list_of(_integer)),
+    ("ref_resolution", "ref_resolution", _integer),
     ("p", "p", float),
-    ("samples", "samples", int),
-    ("master_seed", "master_seed", int),
+    ("samples", "samples", _integer),
+    ("master_seed", "master_seed", _integer),
     ("scheme", "scheme", str),
 )
 
@@ -183,7 +191,7 @@ class ExperimentConfig:
             if key in mapping:
                 try:
                     fields[name] = parse(mapping[key])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(
                         f"{key}: malformed value {mapping[key]!r} ({exc})"
                     ) from exc

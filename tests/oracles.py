@@ -2,11 +2,14 @@
 
 Everything here is deliberately written straight-line in plain Python (plus
 np.interp, numpy's own interpolator) without reusing any library internals,
-so agreement with the package is a genuine dual-route check.
+so agreement with the package is a genuine dual-route check. The one
+exception is pl_sup_union, which reads paths with the package's pl_eval_many
+so that its grid route can be compared bit for bit.
 """
 
 import numpy as np
 
+from tcsde._kernels import pl_eval_many
 from tcsde.errors import ContractViolationError
 
 #: guard against division by a vanishing clock step; impossible while the
@@ -73,6 +76,17 @@ def pl_sup_on_grid(ta, ya, tb, yb, grid):
     """Sup of |A - B| over an explicit grid, evaluated by np.interp."""
     va = np.interp(grid, ta, ya)
     vb = np.interp(grid, tb, yb)
+    return float(np.max(np.abs(va - vb)))
+
+
+def pl_sup_union(ta, ya, tb, yb, t_hi):
+    """Sup of |A - B| read by pl_eval_many on the sorted union of both knot
+    sets up to t_hi, plus t_hi: the grid the numpy lane once built."""
+    grid = np.union1d(ta[ta <= t_hi], tb[tb <= t_hi])
+    if grid.size == 0 or grid[-1] < t_hi:
+        grid = np.append(grid, t_hi)
+    va = pl_eval_many(ta, ya, grid)
+    vb = pl_eval_many(tb, yb, grid)
     return float(np.max(np.abs(va - vb)))
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from tcsde import cli
 from tcsde.cli import main, parse_config_file
 from tcsde.experiment import ExperimentConfig
 
@@ -82,6 +83,29 @@ class TestCmdRun:
         assert "--force" in capsys.readouterr().err
         code = main(["run", str(config_file), "--out", str(out), "--jobs", "1", "--force"])
         assert code == 0
+
+    def test_refuses_to_overwrite_a_lone_manifest(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        assert main(["run", str(config_file), "--out", str(out), "--jobs", "1"]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "{}\n"
+
+    def test_non_finite_report_exits_3_and_writes_nothing(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        class NanReport:
+            def to_json_dict(self):
+                return {"fitted_order": float("nan")}
+
+        monkeypatch.setattr(cli, "run_experiment", lambda config, jobs: NanReport())
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "report.json" in err
+        assert list(out.iterdir()) == []
 
     def test_bad_resolution_cites_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

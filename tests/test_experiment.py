@@ -87,9 +87,21 @@ class TestConfigValidation:
             ("master_seed", "abc"),
             ("resolutions", ["4", "x"]),
             ("ref_resolution", "1e3"),
+            # numbers, as a mapping read back from JSON holds them: one with a
+            # fractional part is refused, never truncated
+            ("samples", 12.5),
+            ("ref_resolution", 512.9),
+            ("master_seed", 7.9),
+            ("resolutions", [16.7, 32]),
+            ("samples", float("inf")),
+            ("master_seed", float("nan")),
         ]:
             with pytest.raises(ConfigError, match=f"^{key}: "):
                 ExperimentConfig.from_mapping({**mapping, key: value})
+        integral = {**mapping, "samples": 12.0, "resolutions": [16.0, 32]}
+        cfg = ExperimentConfig.from_mapping(integral)
+        assert (cfg.samples, cfg.resolutions) == (12, (16, 32))
+        assert type(cfg.samples) is int
 
     def test_unknown_coefficient_surfaces_field(self):
         cfg = _config(coefficient="does-not-exist", params=(1.0,))

@@ -1,15 +1,21 @@
 """Cross-checks between the numba lane and the numpy fallback lane.
 
 Both lanes are importable regardless of which one is active, so every test
-runs the pair directly and asserts agreement. The merge-walk sup kernel and
-the searchsorted-based fallback contain no transcendentals and must agree
-bit-for-bit; the clock kernels may differ where numpy's vectorized sin and
-libm sin round differently, hence the 1e-12 tolerances there.
+runs the pair directly and asserts agreement. The sup kernels contain no
+transcendentals and must agree bit for bit: the merge walk (run as plain
+Python on every machine, and as numba's compiled copy where numba is
+installed), the numpy lane's two-sided reading of each path at the other's
+knots, and the union-grid oracle. The clock kernels may differ where numpy's
+vectorized sin and libm sin round differently, hence the 1e-12 tolerances
+there.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
@@ -119,20 +125,80 @@ class TestEmLanes:
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
 
 
+MERGE_LANES = [
+    pytest.param(_kernels._pl_sup_merge, id="python"),
+    pytest.param(_kernels._pl_sup_merge_nb, id="numba", marks=needs_numba),
+]
+
+
+def _sups(ta, ya, tb, yb, t_hi, merge=_kernels._pl_sup_merge):
+    return (
+        merge(ta, ya, tb, yb, t_hi),
+        _kernels._pl_sup_numpy(ta, ya, tb, yb, t_hi),
+        oracles.pl_sup_union(ta, ya, tb, yb, t_hi),
+    )
+
+
+_steps = st.lists(st.floats(1e-3, 1.0), max_size=30)
+_values = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _path_pairs(draw):
+    """Two paths from time 0 with strictly increasing knots, and a t_hi.
+
+    The knot sets are independent, share a pool of times, or A's knots are
+    a subset of B's (the clock-sup and Euler-Maruyama shape); either path
+    may be a single knot. t_hi is drawn inside the common range, at a knot
+    of either path, or at ta[-1], which may lie past B's last knot.
+    """
+    def knots():
+        return np.cumsum([0.0] + draw(_steps))
+
+    def some_of(t):
+        keep = draw(st.lists(st.booleans(), min_size=t.size - 1, max_size=t.size - 1))
+        return t[np.array([True] + keep)]
+
+    shape = draw(st.sampled_from(["independent", "shared", "subset"]))
+    if shape == "independent":
+        ta, tb = knots(), knots()
+    elif shape == "shared":
+        pool = knots()
+        ta, tb = some_of(pool), some_of(pool)
+    else:
+        tb = knots()
+        ta = some_of(tb)
+    ya = np.array(draw(st.lists(_values, min_size=ta.size, max_size=ta.size)))
+    yb = np.array(draw(st.lists(_values, min_size=tb.size, max_size=tb.size)))
+    end = min(ta[-1], tb[-1])
+    t_hi = draw(
+        st.one_of(
+            st.floats(0.0, end),
+            st.sampled_from(sorted(set(ta) | set(tb))).map(lambda t: min(t, end)),
+            st.just(float(ta[-1])),
+        )
+    )
+    return ta, ya, tb, yb, t_hi
+
+
+# a single-knot path (a constant from time 0) and a three-knot path
+_ONE = (np.array([0.0]), np.array([1.5]))
+_THREE = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 4.0, -1.0]))
+
+
 class TestSupLanes:
-    @needs_numba
-    def test_merge_vs_union_bitwise_random_paths(self):
+    @pytest.mark.parametrize("merge", MERGE_LANES)
+    def test_merge_vs_union_bitwise_random_paths(self, merge):
         rng = np.random.default_rng(7)
         for _ in range(100):
             ta, ya = _random_pl(rng, rng.integers(1, 40))
             tb, yb = _random_pl(rng, rng.integers(1, 40))
             t_hi = rng.uniform(0.0, min(ta[-1], tb[-1]))
-            a = _kernels._pl_sup_merge_nb(ta, ya, tb, yb, t_hi)
-            b = _kernels._pl_sup_numpy(ta, ya, tb, yb, t_hi)
-            assert a == b
+            a, b, c = _sups(ta, ya, tb, yb, t_hi, merge)
+            assert a == b == c
 
-    @needs_numba
-    def test_merge_vs_union_shared_knots(self):
+    @pytest.mark.parametrize("merge", MERGE_LANES)
+    def test_merge_vs_union_shared_knots(self, merge):
         # knot sets with exact overlaps exercise the duplicate-consumption path
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -141,9 +207,24 @@ class TestSupLanes:
             t_coarse = t_fine[::4]
             y_coarse = y_fine[::4] + rng.normal(0, 0.1, 9)
             t_hi = rng.choice([1.0, 0.97, float(t_fine[-2])])
-            a = _kernels._pl_sup_merge_nb(t_coarse, y_coarse, t_fine, y_fine, t_hi)
-            b = _kernels._pl_sup_numpy(t_coarse, y_coarse, t_fine, y_fine, t_hi)
-            assert a == b
+            a, b, c = _sups(t_coarse, y_coarse, t_fine, y_fine, t_hi, merge)
+            assert a == b == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(_path_pairs())
+    @example(_ONE + _THREE + (0.5,))
+    @example(_THREE + _ONE + (0.5,))
+    @example(_ONE + _THREE + (2.0,))
+    @example(_THREE + _ONE + (0.0,))
+    @example(_ONE + (_ONE[0], -_ONE[1]) + (0.0,))
+    def test_two_sided_sup_property(self, pair):
+        ta, ya, tb, yb, t_hi = pair
+        a, b, c = _sups(ta, ya, tb, yb, t_hi)
+        assert a == b == c
+        grid = np.append(np.union1d(ta[ta <= t_hi], tb[tb <= t_hi]), t_hi)
+        assert b == pytest.approx(
+            oracles.pl_sup_on_grid(ta, ya, tb, yb, grid), rel=1e-12, abs=1e-9
+        )
 
     def test_sup_attained_at_knot(self):
         ta = np.array([0.0, 1.0])
