@@ -210,6 +210,31 @@ class TestSupLanes:
             a, b, c = _sups(t_coarse, y_coarse, t_fine, y_fine, t_hi, merge)
             assert a == b == c
 
+    @pytest.mark.parametrize("merge", MERGE_LANES)
+    def test_merge_vs_union_dense_path(self, merge):
+        # the experiment's shape: a few coarse knots against a dense path,
+        # so the dense knots are read many to an interval of the coarse one.
+        # The coarse knots are either a subset of the dense ones, with values
+        # far enough off that the sup often sits at a shared knot, or end
+        # before the dense path, so dense times at or past their end read
+        # y[-1] up to t_hi.
+        rng = np.random.default_rng(10)
+        for i in range(200):
+            t_fine, y_fine = _random_pl(rng, rng.integers(40, 200))
+            if i % 2 == 0:
+                keep = rng.choice(np.arange(1, t_fine.size), rng.integers(1, 8), replace=False)
+                idx = np.concatenate([[0], np.sort(keep)])
+                t_coarse = t_fine[idx]
+                y_coarse = y_fine[idx] + rng.normal(0.0, 3.0, idx.size)
+                t_hi = float(min(t_coarse[-1], t_fine[-1]))
+            else:
+                t_coarse, y_coarse = _random_pl(rng, rng.integers(1, 8), scale=3.0)
+                t_coarse *= 0.7 * t_fine[-1] / t_coarse[-1]
+                t_hi = float(t_fine[-1])
+            for pair in ((t_coarse, y_coarse, t_fine, y_fine), (t_fine, y_fine, t_coarse, y_coarse)):
+                a, b, c = _sups(*pair, t_hi, merge)
+                assert a == b == c
+
     @settings(max_examples=300, deadline=None)
     @given(_path_pairs())
     @example(_ONE + _THREE + (0.5,))
