@@ -16,7 +16,6 @@ run an Euler-Maruyama baseline on the same driver streams for comparison.
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .baseline import EmPath, em_simulate
 from .brownian import BrownianPath, gaussian_increments, generate_path
 from .diffusion import (
@@ -46,9 +45,12 @@ from .experiment import (
 )
 from .timechange import SamplePath, TimeChangePath, build_time_change
 
+# No numba lane: the kernels are numpy only. perfbench/worker.py::lane() reads
+# this name to stamp the lane, and perfbench/pins.json is keyed by "numpy".
+USING_NUMBA = False
+
 __all__ = [
     "__version__",
-    "USING_NUMBA",
     "BrownianPath",
     "ConfigError",
     "ContractReport",

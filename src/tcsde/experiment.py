@@ -82,7 +82,8 @@ def _list_of(item):
 
 
 #: (config key, ExperimentConfig field, parser) for every config key; only
-#: ``scheme`` may be left out, and then takes the field's default
+#: ``scheme`` may be left out, and then takes the field's default. Every
+#: ExperimentConfig runs each field through its parser, however it was built
 _KEYS = (
     ("coefficient", "coefficient", str),
     ("params", "params", _list_of(float)),
@@ -113,8 +114,13 @@ class ExperimentConfig:
     scheme: str = SCHEME_TIME_CHANGE
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        res = tuple(sorted({int(n) for n in self.resolutions}))
+        for key, name, parse in _KEYS:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, parse(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: malformed value {value!r} ({exc})") from exc
+        res = tuple(sorted(set(self.resolutions)))
         object.__setattr__(self, "resolutions", res)
         if not (np.isfinite(self.sde_horizon) and self.sde_horizon > 0):
             raise ConfigError(f"T: must be positive and finite, got {self.sde_horizon}")
@@ -186,16 +192,7 @@ class ExperimentConfig:
         missing = keys - set(mapping) - {"scheme"}
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(sorted(missing))}")
-        fields = {}
-        for key, name, parse in _KEYS:
-            if key in mapping:
-                try:
-                    fields[name] = parse(mapping[key])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(
-                        f"{key}: malformed value {mapping[key]!r} ({exc})"
-                    ) from exc
-        return cls(**fields)
+        return cls(**{name: mapping[key] for key, name, _ in _KEYS if key in mapping})
 
 
 @dataclass(frozen=True)
@@ -471,7 +468,7 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
     diagnostics = {
         "excluded_resolutions": excluded,
         "c2_squared": coeff.c2**2,
-        "lanes": "numba" if _kernels.USING_NUMBA else "numpy",
+        "lanes": "numpy",
     }
     if results[0].inverse_clock_sup is not None:
         excess = max(

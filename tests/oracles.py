@@ -81,13 +81,57 @@ def pl_sup_on_grid(ta, ya, tb, yb, grid):
 
 def pl_sup_union(ta, ya, tb, yb, t_hi):
     """Sup of |A - B| read by pl_eval_many on the sorted union of both knot
-    sets up to t_hi, plus t_hi: the grid the numpy lane once built."""
+    sets up to t_hi, plus t_hi: the grid pl_sup_abs_diff once built."""
     grid = np.union1d(ta[ta <= t_hi], tb[tb <= t_hi])
     if grid.size == 0 or grid[-1] < t_hi:
         grid = np.append(grid, t_hi)
     va = pl_eval_many(ta, ya, grid)
     vb = pl_eval_many(tb, yb, grid)
     return float(np.max(np.abs(va - vb)))
+
+
+def pl_sup_merge(ta, ya, tb, yb, t_hi):
+    """Sup of |A - B| by a merge walk over the knots of both paths in order.
+
+    Exact over ({ta} u {tb} intersect [0, t_hi]) u {t_hi}, for piecewise-linear
+    A = (ta, ya), B = (tb, yb) with ta[-1], tb[-1] >= t_hi.
+    """
+    na = ta.shape[0]
+    nb = tb.shape[0]
+    ia = 0
+    ib = 0
+    pa = 0
+    pb = 0
+    best = 0.0
+    while True:
+        ca = ta[pa] if pa < na else np.inf
+        cb = tb[pb] if pb < nb else np.inf
+        t = ca if ca <= cb else cb
+        last = t > t_hi
+        if last:
+            t = t_hi
+        else:
+            if ca == t:
+                pa += 1
+            if cb == t:
+                pb += 1
+        while ia + 1 < na and ta[ia + 1] <= t:
+            ia += 1
+        while ib + 1 < nb and tb[ib + 1] <= t:
+            ib += 1
+        if ia == na - 1:
+            va = ya[na - 1]
+        else:
+            va = ya[ia] + (t - ta[ia]) / (ta[ia + 1] - ta[ia]) * (ya[ia + 1] - ya[ia])
+        if ib == nb - 1:
+            vb = yb[nb - 1]
+        else:
+            vb = yb[ib] + (t - tb[ib]) / (tb[ib + 1] - tb[ib]) * (yb[ib + 1] - yb[ib])
+        d = abs(va - vb)
+        if d > best:
+            best = d
+        if last:
+            return best
 
 
 def fit_slope_polyfit(ns, errors):

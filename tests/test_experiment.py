@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tcsde.diffusion import builtin_coefficient
@@ -46,6 +48,42 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
+_positive = st.floats(1e-3, 1e3)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+#: valid params of each corpus coefficient, with the arity it takes
+_CORPUS_PARAMS = {
+    "constant": st.tuples(_positive),
+    "smooth-sin": st.tuples(_positive, _positive).map(lambda ab: (ab[0] + ab[1], ab[1])),
+    "time-smooth": st.tuples(_positive, _positive).map(lambda ab: (ab[0] + ab[1], ab[1])),
+    "holder-root": st.tuples(_positive, _positive, st.floats(0.01, 0.99), _finite),
+    "step-mollified": st.tuples(_positive, _positive, _finite, _positive),
+}
+
+
+@st.composite
+def _valid_configs(draw):
+    """Configs that pass validation: a ladder of powers of two, in any order
+    and with repeats, that divides ref_resolution, which is at least 4x its
+    top."""
+    name = draw(st.sampled_from(sorted(_CORPUS_PARAMS)))
+    exponents = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    return ExperimentConfig(
+        coefficient=name,
+        params=draw(_CORPUS_PARAMS[name]),
+        sde_horizon=draw(_positive),
+        x0=draw(_finite),
+        resolutions=tuple(2**e for e in exponents),
+        ref_resolution=4 * 2 ** max(exponents) * draw(st.integers(1, 8)),
+        p=draw(st.floats(1.0, 1e6)),
+        samples=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        scheme=draw(
+            st.sampled_from((SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA, SCHEME_COMPARE))
+        ),
+    )
+
+
 class TestConfigValidation:
     def test_resolutions_sorted_and_deduplicated(self):
         cfg = _config(resolutions=(64, 16, 32, 16))
@@ -82,35 +120,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="scheme"):
             _config(scheme="midpoint")
         mapping = _config().to_mapping()
-        for key, value in [
-            ("samples", "1.5"),
-            ("master_seed", "abc"),
-            ("resolutions", ["4", "x"]),
-            ("ref_resolution", "1e3"),
-            # numbers, as a mapping read back from JSON holds them: one with a
-            # fractional part is refused, never truncated
+        # numbers, as a mapping read back from JSON holds them: one with a
+        # fractional part is refused, never truncated
+        numeric = [
             ("samples", 12.5),
             ("ref_resolution", 512.9),
             ("master_seed", 7.9),
             ("resolutions", [16.7, 32]),
             ("samples", float("inf")),
             ("master_seed", float("nan")),
-        ]:
+        ]
+        for key, value in [
+            ("samples", "1.5"),
+            ("master_seed", "abc"),
+            ("resolutions", ["4", "x"]),
+            ("ref_resolution", "1e3"),
+        ] + numeric:
             with pytest.raises(ConfigError, match=f"^{key}: "):
                 ExperimentConfig.from_mapping({**mapping, key: value})
+        # a config built directly parses its integer fields the same way
+        for key, value in numeric:
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                _config(**{key: value})
         integral = {**mapping, "samples": 12.0, "resolutions": [16.0, 32]}
         cfg = ExperimentConfig.from_mapping(integral)
         assert (cfg.samples, cfg.resolutions) == (12, (16, 32))
         assert type(cfg.samples) is int
+        direct = _config(samples=12.0).samples
+        assert direct == 12 and type(direct) is int
 
     def test_unknown_coefficient_surfaces_field(self):
         cfg = _config(coefficient="does-not-exist", params=(1.0,))
         with pytest.raises(ConfigError, match="coefficient"):
             cfg.build_coefficient()
 
-    def test_mapping_roundtrip(self):
-        cfg = _config()
-        assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_configs())
+    def test_mapping_roundtrip(self, cfg):
+        mapping = cfg.to_mapping()
+        assert ExperimentConfig.from_mapping(mapping) == cfg
+        # the mapping is written into report.json and manifest.json
+        assert ExperimentConfig.from_mapping(json.loads(json.dumps(mapping))) == cfg
 
     def test_mapping_rejects_unknown_keys(self):
         m = _config().to_mapping()
