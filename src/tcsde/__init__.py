@@ -18,13 +18,7 @@ __version__ = "0.1.0"
 
 from .baseline import EmPath, em_simulate
 from .brownian import BrownianPath, gaussian_increments, generate_path
-from .diffusion import (
-    ContractReport,
-    DiffusionCoefficient,
-    builtin_coefficient,
-    check_contract,
-    corpus_names,
-)
+from .diffusion import DiffusionCoefficient, builtin_coefficient, corpus_names
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -53,7 +47,6 @@ __all__ = [
     "__version__",
     "BrownianPath",
     "ConfigError",
-    "ContractReport",
     "ContractViolationError",
     "DiffusionCoefficient",
     "EmPath",
@@ -68,7 +61,6 @@ __all__ = [
     "TimeChangePath",
     "builtin_coefficient",
     "build_time_change",
-    "check_contract",
     "compare_schemes",
     "corpus_names",
     "em_simulate",

@@ -1,5 +1,9 @@
 """Hot numeric kernels, in numpy.
 
+Every coefficient is a builtin kind: a small integer plus a params vector of
+4 slots. Each kind has one formula, written twice: _sigma_scalar for the
+interpreted loops and sigma_kind_vec for the vectorized routes.
+
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
     on the uniform Brownian grid, stopping at the first knot >= target time.
@@ -11,10 +15,6 @@ Kernels:
     linear between consecutive knots of either path, so its sup is attained
     at a knot of A, a knot of B or the right end. Each path is read at the
     other's knots with the arithmetic of pl_eval_many, with no union grid.
-
-Builtin coefficients are dispatched by a small integer kind plus a params
-vector; coefficients backed by arbitrary Python callables take the
-interpreted loops.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ KIND_SMOOTH_SIN = 1
 KIND_TIME_SMOOTH = 2
 KIND_HOLDER_ROOT = 3
 KIND_STEP_MOLLIFIED = 4
+KINDS = (KIND_CONSTANT, KIND_SMOOTH_SIN, KIND_TIME_SMOOTH, KIND_HOLDER_ROOT, KIND_STEP_MOLLIFIED)
 
 OK = 0
 EXHAUSTED = 1
@@ -35,8 +36,8 @@ BOUNDS_BREACH = 2
 
 
 def _sigma_scalar(kind, p, t, x):
-    # Scalar formulas of the builtin kinds, for the interpreted loops and
-    # DiffusionCoefficient.evaluate.
+    # Scalar formula of each kind, for the interpreted loops and
+    # DiffusionCoefficient.evaluate; sigma_kind_vec is its vector twin.
     if kind == KIND_CONSTANT:
         return p[0]
     elif kind == KIND_SMOOTH_SIN:
@@ -58,7 +59,7 @@ def _sigma_scalar(kind, p, t, x):
 
 
 def sigma_kind_vec(kind: int, p: np.ndarray, t, x: np.ndarray) -> np.ndarray:
-    """Vectorized builtin-coefficient evaluation."""
+    """Vectorized evaluation of a kind: _sigma_scalar over arrays."""
     x = np.asarray(x, dtype=np.float64)
     if kind == KIND_CONSTANT:
         return np.full_like(x, p[0])
@@ -68,10 +69,8 @@ def sigma_kind_vec(kind: int, p: np.ndarray, t, x: np.ndarray) -> np.ndarray:
         return p[0] + p[1] * np.sin(x + np.asarray(t, dtype=np.float64))
     if kind == KIND_HOLDER_ROOT:
         return p[0] + np.minimum(np.abs(x - p[3]) ** p[2], p[1])
-    if kind == KIND_STEP_MOLLIFIED:
-        u = np.clip((x - (p[2] - 0.5 * p[3])) / p[3], 0.0, 1.0)
-        return p[0] + (p[1] - p[0]) * u
-    raise ValueError(f"unknown coefficient kind {kind}")
+    u = np.clip((x - (p[2] - 0.5 * p[3])) / p[3], 0.0, 1.0)
+    return p[0] + (p[1] - p[0]) * u
 
 
 def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
@@ -117,21 +116,6 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     return clock, k, OK
 
 
-def clock_knots_callable(evaluate, driver, inv_n, t_end, lo, hi, tol):
-    """Clock recursion for an arbitrary scalar callable sigma(t, x)."""
-    m = driver.shape[0]
-    clock = np.empty(m, dtype=np.float64)
-    clock[0] = 0.0
-    for k in range(m - 1):
-        s = evaluate(clock[k], driver[k])
-        if s < lo - tol or s > hi + tol:
-            return clock, k, BOUNDS_BREACH
-        clock[k + 1] = clock[k] + inv_n / (s * s)
-        if clock[k + 1] >= t_end:
-            return clock, k + 1, OK
-    return clock, m - 1, EXHAUSTED
-
-
 def em_values_kind(kind, p, increments, n, x0):
     n = float(n)
     m = increments.shape[0]
@@ -140,15 +124,6 @@ def em_values_kind(kind, p, increments, n, x0):
     for k in range(m):
         s = _sigma_scalar(kind, p, k / n, values[k])
         values[k + 1] = values[k] + s * increments[k]
-    return values
-
-
-def em_values_callable(evaluate, increments, n, x0):
-    m = increments.shape[0]
-    values = np.empty(m + 1, dtype=np.float64)
-    values[0] = x0
-    for k in range(m):
-        values[k + 1] = values[k] + evaluate(k / n, values[k]) * increments[k]
     return values
 
 

@@ -65,10 +65,5 @@ def em_simulate(
             f"for horizon {sde_horizon} at resolution {n}"
         )
     increments = np.diff(driver.values[: steps + 1])
-    if sigma.kernel_kind is not None:
-        values = _kernels.em_values_kind(
-            sigma.kernel_kind, sigma.kernel_params, increments, n, x0
-        )
-    else:
-        values = _kernels.em_values_callable(sigma.evaluate, increments, n, x0)
+    values = _kernels.em_values_kind(sigma.kernel_kind, sigma.kernel_params, increments, n, x0)
     return EmPath(n=n, y=values, sde_horizon=sde_horizon)

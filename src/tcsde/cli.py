@@ -47,8 +47,12 @@ def parse_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     mapping: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,14 +75,17 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         mapping["master_seed"] = overrides.seed
     if overrides.samples is not None:
         mapping["samples"] = overrides.samples
-    if getattr(overrides, "resolutions", None):
+    if getattr(overrides, "resolutions", None) is not None:
         mapping["resolutions"] = overrides.resolutions
     return ExperimentConfig.from_mapping(mapping)
 
 
 def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> Path:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create output directory {out}: {exc}") from exc
     if not force:
         for name in names:
             if (out / name).exists():
@@ -126,6 +133,8 @@ def _print_report(report, coeff, stream=None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs: must be >= 0 (0 means all cores), got {args.jobs}")
     config = _load_config(args.config, args)
     coeff = config.build_coefficient()
     out = _prepare_outputs(

@@ -44,7 +44,6 @@ class TimeChangePath:
 
     n: int
     clock: np.ndarray
-    sde_horizon: float
 
     def __post_init__(self):
         clock = np.ascontiguousarray(self.clock, dtype=np.float64)
@@ -72,12 +71,10 @@ def build_time_change(
     """
     if sde_horizon <= 0:
         raise ValueError(f"sde_horizon must be positive, got {sde_horizon}")
-    inv_n = 1.0 / driver.n
-    args = (driver.values, inv_n, sde_horizon, sigma.c1, sigma.c2, sigma.bound_tolerance)
-    if sigma.kernel_kind is not None:
-        buf, k, status = _kernels.clock_knots_kind(sigma.kernel_kind, sigma.kernel_params, *args)
-    else:
-        buf, k, status = _kernels.clock_knots_callable(sigma.evaluate, *args)
+    buf, k, status = _kernels.clock_knots_kind(
+        sigma.kernel_kind, sigma.kernel_params, driver.values, 1.0 / driver.n, sde_horizon,
+        sigma.c1, sigma.c2, sigma.bound_tolerance,
+    )
     if status == _kernels.BOUNDS_BREACH:
         t_bad = float(buf[k])
         x_bad = float(driver.values[k])
@@ -91,7 +88,7 @@ def build_time_change(
             f"driver ends at Brownian time {driver.horizon} with the clock at "
             f"{buf[k]} < {sde_horizon}"
         )
-    return TimeChangePath(n=driver.n, clock=buf[: k + 1].copy(), sde_horizon=sde_horizon)
+    return TimeChangePath(n=driver.n, clock=buf[: k + 1].copy())
 
 
 class PiecewiseLinearPath:

@@ -2,14 +2,17 @@
 
 Everything here is deliberately written straight-line in plain Python (plus
 np.interp, numpy's own interpolator) without reusing any library internals,
-so agreement with the package is a genuine dual-route check. The one
-exception is pl_sup_union, which reads paths with the package's pl_eval_many
-so that its grid route can be compared bit for bit.
+so agreement with the package is a genuine dual-route check. Two exceptions
+read through the package: pl_sup_union reads paths with its pl_eval_many so
+that its grid route can be compared bit for bit, and check_contract samples a
+coefficient with its sigma_kind_vec.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from tcsde._kernels import pl_eval_many
+from tcsde._kernels import pl_eval_many, sigma_kind_vec
 from tcsde.errors import ContractViolationError
 
 #: guard against division by a vanishing clock step; impossible while the
@@ -201,3 +204,76 @@ def interpolate(self, t):
     theta = (t - t0) / (t1 - t0)
     return float(self.values[k] + theta * (self.values[k + 1] - self.values[k]))
 
+
+@dataclass(frozen=True)
+class ContractReport:
+    """Result of sampling-based verification of a coefficient's contract."""
+
+    label: str
+    n_samples: int
+    bound_violations: int
+    worst_bound_excess: float
+    worst_bound_at: tuple[float, float]
+    worst_holder_ratio: float
+    worst_holder_at: tuple[float, float, float]
+    holder_violations: int
+
+    @property
+    def ok(self) -> bool:
+        return self.bound_violations == 0 and self.holder_violations == 0
+
+
+def check_contract(
+    coeff,
+    samples: int = 10_000,
+    seed: int = 0,
+    domain: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 10.0), (-50.0, 50.0)),
+) -> ContractReport:
+    """Probe sigma on a quasi-random point set and report contract breaches.
+
+    Each sample is a triple (t, x, y): both (t, x) and (t, y) are tested
+    against the declared bounds, and the pair feeds the empirical spatial
+    Hoelder ratio |sigma(t,x) - sigma(t,y)| / |x - y|^beta, tested against
+    the declared Hoelder constant. Violations are reported, never raised.
+    Deterministic for a given seed.
+    """
+    from scipy.stats import qmc
+
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    (t_lo, t_hi), (x_lo, x_hi) = domain
+    u = qmc.Halton(d=3, scramble=True, seed=seed).random(samples)
+    t = t_lo + u[:, 0] * (t_hi - t_lo)
+    x = x_lo + u[:, 1] * (x_hi - x_lo)
+    y = x_lo + u[:, 2] * (x_hi - x_lo)
+    sx = sigma_kind_vec(coeff.kernel_kind, coeff.kernel_params, t, x)
+    sy = sigma_kind_vec(coeff.kernel_kind, coeff.kernel_params, t, y)
+
+    tol = coeff.bound_tolerance
+    excess_x = np.maximum(coeff.c1 - sx, sx - coeff.c2)
+    excess_y = np.maximum(coeff.c1 - sy, sy - coeff.c2)
+    excess = np.maximum(excess_x, excess_y)
+    violating = excess > tol
+    i_worst = int(np.argmax(excess))
+    worst_at = (
+        float(t[i_worst]),
+        float(x[i_worst] if excess_x[i_worst] >= excess_y[i_worst] else y[i_worst]),
+    )
+
+    gap = np.abs(x - y)
+    usable = gap > 0
+    ratio = np.zeros_like(gap)
+    ratio[usable] = np.abs(sx[usable] - sy[usable]) / gap[usable] ** coeff.holder_beta
+    j_worst = int(np.argmax(ratio))
+    holder_tol = 1e-9 * max(1.0, coeff.holder_const)
+
+    return ContractReport(
+        label=coeff.label,
+        n_samples=samples,
+        bound_violations=int(np.count_nonzero(violating)),
+        worst_bound_excess=float(max(excess[i_worst], 0.0)),
+        worst_bound_at=worst_at,
+        worst_holder_ratio=float(ratio[j_worst]),
+        worst_holder_at=(float(t[j_worst]), float(x[j_worst]), float(y[j_worst])),
+        holder_violations=int(np.count_nonzero(ratio > coeff.holder_const + holder_tol)),
+    )

@@ -49,15 +49,6 @@ class TestRecursion:
         np.testing.assert_allclose(em.y, ref, rtol=0, atol=1e-12)
         assert em.y[-1] == pytest.approx(2.40782389698525, abs=1e-12)
 
-    def test_custom_callable_matches_kind_dispatch(self):
-        kind = builtin_coefficient("smooth-sin", [2.0, 1.0])
-        custom = builtin_coefficient("smooth-sin", [2.0, 1.0])
-        object.__setattr__(custom, "kernel_kind", None)
-        d = _driver(32, 1.1, 2)
-        a = em_simulate(kind, d, 1.0, 0.0)
-        b = em_simulate(custom, d, 1.0, 0.0)
-        np.testing.assert_allclose(a.y, b.y, rtol=1e-13, atol=1e-13)
-
     def test_driver_too_short(self):
         c = builtin_coefficient("constant", [2.0])
         with pytest.raises(ValueError, match="driver too short"):

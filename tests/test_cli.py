@@ -54,6 +54,13 @@ class TestConfigParsing:
         bad.write_text("T = 1\nT = 2\n")
         assert main(["run", str(bad)]) == 2
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(SMALL_CONFIG.replace("comment line", "caf\xe9").encode("latin-1"))
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(bad) in err
+
 
 class TestCmdRun:
     def test_happy_path(self, config_file, tmp_path, capsys):
@@ -172,6 +179,26 @@ class TestCmdRun:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert [r["n"] for r in report["per_resolution"]] == [32, 64]
+
+    def test_empty_resolutions_override_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", str(config_file), "--out", str(out), "--jobs", "1", "--resolutions", ""]
+        assert main(argv) == 2
+        assert "config error: resolutions: malformed value ''" in capsys.readouterr().err
+
+    def test_negative_jobs_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out), "--jobs", "-3"]) == 2
+        assert "config error: --jobs: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["run", str(config_file), "--out", str(out), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and str(out) in err
+        assert out.read_text() == "not a directory\n"
 
     def test_compare_scheme_writes_paired_report(self, tmp_path):
         cfg = tmp_path / "cmp.cfg"
@@ -320,7 +347,7 @@ class TestRuntimeErrors:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only check_contract needs it
+    # scipy.stats is most of the import time, and the package never needs it
     code = "import sys, tcsde, tcsde.cli; print('scipy.stats' in sys.modules)"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

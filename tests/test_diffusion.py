@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import check_contract
+from tcsde import _kernels
 from tcsde.diffusion import (
     HOLDER,
     SMOOTH,
     DiffusionCoefficient,
     builtin_coefficient,
-    check_contract,
     corpus_names,
 )
 
@@ -68,7 +71,7 @@ class TestCorpusValues:
         x = rng.uniform(-50, 50, 200)
         for name, params in CORPUS_PARAMS.items():
             c = builtin_coefficient(name, params)
-            vec = c.evaluate_many(t, x)
+            vec = _kernels.sigma_kind_vec(c.kernel_kind, c.kernel_params, t, x)
             scal = np.array([c.evaluate(ti, xi) for ti, xi in zip(t, x)])
             np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=0)
 
@@ -108,14 +111,26 @@ class TestCorpusValidation:
     def test_direct_construction_validates_bounds(self):
         with pytest.raises(ValueError):
             DiffusionCoefficient(
-                evaluate=lambda t, x: 1.0,
+                kernel_kind=_kernels.KIND_CONSTANT,
+                kernel_params=[1.0],
                 c1=2.0,
                 c2=1.0,
                 holder_beta=1.0,
                 time_lipschitz=0.0,
                 smoothness=SMOOTH,
                 label="broken",
+                holder_const=0.0,
             )
+
+    def test_direct_construction_validates_kind(self):
+        c = builtin_coefficient("constant", [2.0])
+        with pytest.raises(ValueError, match="unknown coefficient kind"):
+            replace(c, kernel_kind=len(_kernels.KINDS))
+
+    def test_compares_and_hashes_without_error(self):
+        c = builtin_coefficient("smooth-sin", [2.0, 1.0])
+        assert c == c and c in {c}
+        assert c != builtin_coefficient("smooth-sin", [3.0, 1.0])
 
     def test_corpus_names_sorted(self):
         names = corpus_names()
@@ -137,13 +152,11 @@ class TestCheckContract:
         assert rep.bound_violations == 0
 
     def test_broken_coefficient_reported_not_raised(self):
-        broken = DiffusionCoefficient(
-            evaluate=lambda t, x: 0.0 if x <= 0 else 2.0,
+        # ~0 for x <= 0 and 2 beyond a 1e-9 ramp, declared as [2, 2]
+        broken = replace(
+            builtin_coefficient("step-mollified", [1e-300, 2.0, 0.0, 1e-9]),
             c1=2.0,
             c2=2.0,
-            holder_beta=1.0,
-            time_lipschitz=0.0,
-            smoothness=SMOOTH,
             label="broken-at-origin",
         )
         rep = check_contract(broken, samples=2000, seed=3, domain=((0, 1), (-1, 1)))

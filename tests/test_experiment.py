@@ -303,6 +303,24 @@ class TestDriverExtension:
         assert dumped[0] == dumped[1]
 
 
+#: one tiny run per corpus kind with the time-change scheme, and with
+#: Euler-Maruyama wherever the declared Hoelder exponent allows (beta >= 1/2)
+_KINDS = [
+    ("constant", (2.0,)),
+    ("smooth-sin", (2.0, 1.0)),
+    ("time-smooth", (2.0, 1.0)),
+    ("holder-root", (1.0, 1.0, 0.3, 0.0)),
+    ("holder-root", (1.0, 1.0, 0.6, 0.0)),
+    ("step-mollified", (1.0, 2.0, 0.0, 0.5)),
+]
+_JOBS_CASES = [
+    (name, params, scheme)
+    for name, params in _KINDS
+    for scheme in (SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA)
+    if scheme == SCHEME_TIME_CHANGE or builtin_coefficient(name, params).holder_beta >= 0.5
+]
+
+
 class TestRunExperiment:
     def test_determinism_across_jobs(self):
         cfg = _config(samples=12)
@@ -311,6 +329,18 @@ class TestRunExperiment:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize(
+        "name,params,scheme",
+        _JOBS_CASES,
+        ids=[f"{builtin_coefficient(n, p).label}-{s}" for n, p, s in _JOBS_CASES],
+    )
+    def test_determinism_across_jobs_every_kind(self, name, params, scheme):
+        cfg = _config(coefficient=name, params=params, scheme=scheme, samples=4,
+                      resolutions=(8, 16), ref_resolution=64)
+        a = json.dumps(run_experiment(cfg, jobs=1).to_json_dict(), sort_keys=True)
+        b = json.dumps(run_experiment(cfg, jobs=2).to_json_dict(), sort_keys=True)
+        assert a == b
 
     def test_report_structure(self):
         rep = run_experiment(_config(), jobs=2)

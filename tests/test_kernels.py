@@ -20,7 +20,6 @@ SEED = 20260808
 
 CORPUS_PARAMS = {
     "holder-root": [1.0, 1.0, 0.5, 0.0],
-    "step-mollified": [1.0, 2.0, 0.0, 0.5],
 }
 
 
@@ -40,15 +39,6 @@ class TestClockLanes:
         buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(c.kernel_kind, c.kernel_params, *args)
         assert (k_seq, st_seq) == (k_vec, st_vec)
         np.testing.assert_array_equal(buf_seq[: k_seq + 1], buf_vec[: k_vec + 1])
-
-    def test_callable_route_matches_kind_route(self):
-        c = builtin_coefficient("step-mollified", CORPUS_PARAMS["step-mollified"])
-        driver = generate_path(32, 6.0, 0.0, SEED, 2)
-        args = (driver.values, 1.0 / 32, 1.0, c.c1, c.c2, c.bound_tolerance)
-        buf_a, k_a, st_a = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
-        buf_b, k_b, st_b = _kernels.clock_knots_callable(c.evaluate, *args)
-        assert (k_a, st_a) == (k_b, st_b)
-        np.testing.assert_array_equal(buf_a[: k_a + 1], buf_b[: k_b + 1])
 
     def test_bounds_breach_detected_same_knot(self):
         c = builtin_coefficient("constant", [2.0])

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from tcsde import _kernels
 from tcsde.brownian import generate_path
-from tcsde.diffusion import SMOOTH, DiffusionCoefficient, builtin_coefficient
+from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ContractViolationError, PathExhaustedError
 from tcsde.experiment import ExperimentConfig, sample_paths
 from tcsde.timechange import SamplePath, build_time_change, required_horizon
@@ -108,15 +110,8 @@ class TestClockConstruction:
             build_time_change(short, c, 1.0)  # needs ~4 units of Brownian time
 
     def test_lying_coefficient_raises_contract_error(self):
-        lying = DiffusionCoefficient(
-            evaluate=lambda t, x: 10.0,  # outside its own declared bounds
-            c1=1.0,
-            c2=2.0,
-            holder_beta=1.0,
-            time_lipschitz=0.0,
-            smoothness=SMOOTH,
-            label="liar",
-        )
+        # sigma = 10, outside its own declared bounds
+        lying = replace(builtin_coefficient("constant", [10.0]), c1=1.0, c2=2.0, label="liar")
         driver = generate_path(8, 10.0, 0.0, SEED, 0)
         with pytest.raises(ContractViolationError):
             build_time_change(driver, lying, 1.0)
