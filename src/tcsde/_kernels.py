@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy.
 
-Every coefficient is a builtin kind: a small integer plus a params vector of
-4 slots. Each kind has one formula, written twice: _sigma_scalar for the
-interpreted loops and sigma_kind_vec for the vectorized routes.
+Every coefficient is a builtin kind: a small integer plus its params. Each
+kind's formula is written once, in sigma_of; the interpreted loops run it on
+Python floats and the vectorized routes on arrays, with libm's pow in both.
 
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
@@ -28,60 +28,46 @@ KIND_SMOOTH_SIN = 1
 KIND_TIME_SMOOTH = 2
 KIND_HOLDER_ROOT = 3
 KIND_STEP_MOLLIFIED = 4
-KINDS = (KIND_CONSTANT, KIND_SMOOTH_SIN, KIND_TIME_SMOOTH, KIND_HOLDER_ROOT, KIND_STEP_MOLLIFIED)
 
 OK = 0
 EXHAUSTED = 1
 BOUNDS_BREACH = 2
 
 
-def _sigma_scalar(kind, p, t, x):
-    # Scalar formula of each kind, for the interpreted loops and
-    # DiffusionCoefficient.evaluate; sigma_kind_vec is its vector twin.
-    if kind == KIND_CONSTANT:
-        return p[0]
-    elif kind == KIND_SMOOTH_SIN:
-        return p[0] + p[1] * math.sin(x)
-    elif kind == KIND_TIME_SMOOTH:
-        return p[0] + p[1] * math.sin(x + t)
-    elif kind == KIND_HOLDER_ROOT:
-        r = abs(x - p[3]) ** p[2]
-        if r > p[1]:
-            r = p[1]
-        return p[0] + r
-    else:
-        u = (x - (p[2] - 0.5 * p[3])) / p[3]
-        if u < 0.0:
-            u = 0.0
-        elif u > 1.0:
-            u = 1.0
-        return p[0] + (p[1] - p[0]) * u
+#: (sin, pow, min, max) on Python floats and on arrays. np.float_power is
+#: libm's pow, as math.pow is; numpy's vector ** is not, on every CPU.
+SCALAR_OPS = (math.sin, math.pow, min, max)
+VECTOR_OPS = (np.sin, np.float_power, np.minimum, np.maximum)
 
 
-def sigma_kind_vec(kind: int, p: np.ndarray, t, x: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a kind: _sigma_scalar over arrays."""
-    x = np.asarray(x, dtype=np.float64)
+def sigma_of(kind, p, ops):
+    """sigma(t, x) of a builtin kind with params p, on SCALAR_OPS or VECTOR_OPS."""
+    sin, pow, min, max = ops
+    a = float(p[0])
     if kind == KIND_CONSTANT:
-        return np.full_like(x, p[0])
+        return lambda t, x: a + 0.0 * x
+    b = float(p[1])
     if kind == KIND_SMOOTH_SIN:
-        return p[0] + p[1] * np.sin(x)
+        return lambda t, x: a + b * sin(x)
     if kind == KIND_TIME_SMOOTH:
-        return p[0] + p[1] * np.sin(x + np.asarray(t, dtype=np.float64))
+        return lambda t, x: a + b * sin(x + t)
+    c, d = float(p[2]), float(p[3])
     if kind == KIND_HOLDER_ROOT:
-        return p[0] + np.minimum(np.abs(x - p[3]) ** p[2], p[1])
-    u = np.clip((x - (p[2] - 0.5 * p[3])) / p[3], 0.0, 1.0)
-    return p[0] + (p[1] - p[0]) * u
+        return lambda t, x: a + min(pow(abs(x - d), c), b)
+    lo = c - 0.5 * d
+    return lambda t, x: a + (b - a) * min(max((x - lo) / d, 0.0), 1.0)
 
 
 def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
     # Euler recursion clock[k+1] = clock[k] + inv_n / sigma(clock[k], driver[k])^2,
     # stopping at the first knot with clock >= t_end. Returns (buffer, k, status)
     # where on OK the knots 0..k are valid; on BOUNDS_BREACH k is the bad step.
+    sigma = sigma_of(kind, p, SCALAR_OPS)
     m = driver.shape[0]
     clock = np.empty(m, dtype=np.float64)
     clock[0] = 0.0
     for k in range(m - 1):
-        s = _sigma_scalar(kind, p, clock[k], driver[k])
+        s = sigma(clock[k], driver[k])
         if s < lo - tol or s > hi + tol:
             return clock, k, BOUNDS_BREACH
         clock[k + 1] = clock[k] + inv_n / (s * s)
@@ -99,7 +85,7 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     """
     if kind == KIND_TIME_SMOOTH:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
-    sig = sigma_kind_vec(kind, p, 0.0, driver[:-1])
+    sig = sigma_of(kind, p, VECTOR_OPS)(0.0, driver[:-1])
     clock = np.empty(driver.shape[0], dtype=np.float64)
     clock[0] = 0.0
     np.cumsum(inv_n / (sig * sig), out=clock[1:])
@@ -117,12 +103,13 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
 
 
 def em_values_kind(kind, p, increments, n, x0):
+    sigma = sigma_of(kind, p, SCALAR_OPS)
     n = float(n)
     m = increments.shape[0]
     values = np.empty(m + 1, dtype=np.float64)
     values[0] = x0
     for k in range(m):
-        s = _sigma_scalar(kind, p, k / n, values[k])
+        s = sigma(k / n, values[k])
         values[k + 1] = values[k] + s * increments[k]
     return values
 

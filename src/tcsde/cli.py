@@ -18,6 +18,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .diffusion import SMOOTH
 from .errors import ConfigError, TcsdeError
@@ -114,22 +116,25 @@ def _write_manifest(out: Path, args: argparse.Namespace, config: ExperimentConfi
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": f"tcsde {__version__}",
+        # numpy's SIMD targets can change the bits of its vector math
+        "numpy": {
+            "version": np.__version__,
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"],
+        },
         "effective_config": config.to_mapping(),
     }
     _write_json(out / "manifest.json", manifest)
 
 
-def _print_report(report, coeff, stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def _print_report(report, coeff) -> None:
     orders = report.theoretical_orders
     overlay = orders["smooth"] if coeff.smoothness == SMOOTH else orders["holder"]
     print(
         f"[{report.scheme}] fitted order {report.fitted_order:.4f} "
-        f"(stderr {report.fit_stderr:.4f}); guaranteed overlay order {overlay:.4f}",
-        file=stream,
+        f"(stderr {report.fit_stderr:.4f}); guaranteed overlay order {overlay:.4f}"
     )
     for n, err, se in report.per_resolution:
-        print(f"  n={n:>6d}  mean_error={err:.6e}  stderr={se:.2e}", file=stream)
+        print(f"  n={n:>6d}  mean_error={err:.6e}  stderr={se:.2e}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

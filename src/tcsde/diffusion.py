@@ -1,9 +1,9 @@
 """Diffusion coefficients: the bounded-volatility contract and a test corpus.
 
-A coefficient is a builtin kernel kind (one formula in ``_kernels``) with its
-params, together with declared bounds 0 < C1 <= sigma <= C2 and regularity
-metadata (spatial Hoelder exponent and constant, time Lipschitz constant).
-The kernels dispatch on the kind; ``evaluate`` reads the same scalar formula.
+A coefficient is a builtin kernel kind (one formula in ``_kernels.sigma_of``)
+with its params, together with declared bounds 0 < C1 <= sigma <= C2 and
+regularity metadata (spatial Hoelder exponent and constant, time Lipschitz
+constant). The kernels and ``evaluate`` run the kind's one formula.
 The metadata labels experiments and selects theoretical overlay orders. The
 bounds are a contract, enforced while the clock is built; the test suite
 verifies the corpus against them by sampling.
@@ -31,9 +31,9 @@ class DiffusionCoefficient:
     """Immutable sigma(t, x) of a builtin kind, with declared bounds and
     regularity metadata; instances are shared freely across workers.
 
-    ``kernel_params`` is padded with zeros to the 4 slots every kind reads.
-    Instances compare by identity: a field-wise ``==`` would ask the params
-    array for a truth value, which raises.
+    ``kernel_params`` is a read-only array of exactly as many floats as the
+    kind takes. Instances compare by identity: a field-wise ``==`` would ask
+    the params array for a truth value, which raises.
     """
 
     kernel_kind: int
@@ -47,8 +47,10 @@ class DiffusionCoefficient:
     holder_const: float
 
     def __post_init__(self):
-        if self.kernel_kind not in _kernels.KINDS:
+        names = [n for n, (kind, _, _) in _CORPUS.items() if kind == self.kernel_kind]
+        if not names:
             raise ValueError(f"unknown coefficient kind {self.kernel_kind!r}")
+        _check_arity(names[0], self.kernel_params)
         if not self.c1 > 0:
             raise ValueError(f"lower bound must be positive, got {self.c1}")
         if self.c2 < self.c1:
@@ -59,13 +61,13 @@ class DiffusionCoefficient:
             raise ValueError("time_lipschitz must be >= 0")
         if self.smoothness not in (SMOOTH, HOLDER):
             raise ValueError(f"unknown smoothness class {self.smoothness!r}")
-        params = np.zeros(4)
-        params[: len(self.kernel_params)] = self.kernel_params
+        params = np.array(self.kernel_params, dtype=np.float64)
+        params.flags.writeable = False
         object.__setattr__(self, "kernel_params", params)
 
     def evaluate(self, t: float, x: float) -> float:
-        """sigma(t, x), by the scalar formula the interpreted loops use."""
-        return _kernels._sigma_scalar(self.kernel_kind, self.kernel_params, t, x)
+        """sigma(t, x), by the formula and the operations the interpreted loops use."""
+        return _kernels.sigma_of(self.kernel_kind, self.kernel_params, _kernels.SCALAR_OPS)(t, x)
 
     @property
     def bound_tolerance(self) -> float:
@@ -161,6 +163,11 @@ _CORPUS = {
 }
 
 
+def _check_arity(name: str, params: Sequence[float]) -> None:
+    if len(params) != _CORPUS[name][2]:
+        raise ValueError(f"{name} takes {_CORPUS[name][2]} parameter(s), got {len(params)}")
+
+
 def corpus_names() -> list[str]:
     return sorted(_CORPUS)
 
@@ -171,9 +178,8 @@ def builtin_coefficient(name: str, params: Sequence[float]) -> DiffusionCoeffici
         raise ValueError(
             f"unknown coefficient {name!r}; available: {', '.join(corpus_names())}"
         )
-    kind, builder, arity = _CORPUS[name]
-    if len(params) != arity:
-        raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    kind, builder, _ = _CORPUS[name]
+    _check_arity(name, params)
     params = [float(v) for v in params]
     return DiffusionCoefficient(
         kernel_kind=kind, kernel_params=params, label=f"{name}({_fmt(params)})", **builder(params)

@@ -5,14 +5,14 @@ np.interp, numpy's own interpolator) without reusing any library internals,
 so agreement with the package is a genuine dual-route check. Two exceptions
 read through the package: pl_sup_union reads paths with its pl_eval_many so
 that its grid route can be compared bit for bit, and check_contract samples a
-coefficient with its sigma_kind_vec.
+coefficient with its sigma_of over VECTOR_OPS, the formula the kernels run.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from tcsde._kernels import pl_eval_many, sigma_kind_vec
+from tcsde._kernels import VECTOR_OPS, pl_eval_many, sigma_of
 from tcsde.errors import ContractViolationError
 
 #: guard against division by a vanishing clock step; impossible while the
@@ -246,8 +246,9 @@ def check_contract(
     t = t_lo + u[:, 0] * (t_hi - t_lo)
     x = x_lo + u[:, 1] * (x_hi - x_lo)
     y = x_lo + u[:, 2] * (x_hi - x_lo)
-    sx = sigma_kind_vec(coeff.kernel_kind, coeff.kernel_params, t, x)
-    sy = sigma_kind_vec(coeff.kernel_kind, coeff.kernel_params, t, y)
+    sigma = sigma_of(coeff.kernel_kind, coeff.kernel_params, VECTOR_OPS)
+    sx = sigma(t, x)
+    sy = sigma(t, y)
 
     tol = coeff.bound_tolerance
     excess_x = np.maximum(coeff.c1 - sx, sx - coeff.c2)

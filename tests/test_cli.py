@@ -155,6 +155,8 @@ class TestCmdRun:
         assert manifest["tool_version"].startswith("tcsde ")
         assert "timestamp" in manifest
         assert manifest["config_path"].endswith("exp.cfg")
+        assert manifest["numpy"]["version"] == np.__version__
+        assert "baseline" in manifest["numpy"]["simd"]
         # the timestamp lives only here: report.json must stay byte-stable
         report = json.loads((out / "report.json").read_text())
         assert "timestamp" not in json.dumps(report)

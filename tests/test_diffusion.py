@@ -69,11 +69,14 @@ class TestCorpusValues:
         rng = np.random.default_rng(11)
         t = rng.uniform(0, 10, 200)
         x = rng.uniform(-50, 50, 200)
-        for name, params in CORPUS_PARAMS.items():
+        # beta 0.6, with b large enough that |x|^beta is never capped: numpy's
+        # vector ** differs from libm pow on AVX-512 CPUs
+        cases = [*CORPUS_PARAMS.items(), ("holder-root", [1.0, 20.0, 0.6, 0.0])]
+        for name, params in cases:
             c = builtin_coefficient(name, params)
-            vec = _kernels.sigma_kind_vec(c.kernel_kind, c.kernel_params, t, x)
+            vec = _kernels.sigma_of(c.kernel_kind, c.kernel_params, _kernels.VECTOR_OPS)(t, x)
             scal = np.array([c.evaluate(ti, xi) for ti, xi in zip(t, x)])
-            np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(vec, scal, err_msg=name)
 
 
 class TestCorpusValidation:
@@ -122,10 +125,34 @@ class TestCorpusValidation:
                 holder_const=0.0,
             )
 
+    @pytest.mark.parametrize("params", [[1.0, 1.0], [1.0, 1.0, 0.6, 0.0, 0.0]])
+    def test_direct_construction_validates_param_count(self, params):
+        # holder-root reads a, b, beta and a centre: [1, 1] gives no beta for
+        # the declared holder_beta = 0.6 to describe
+        msg = rf"holder-root takes 4 parameter\(s\), got {len(params)}"
+        with pytest.raises(ValueError, match=msg):
+            DiffusionCoefficient(
+                kernel_kind=_kernels.KIND_HOLDER_ROOT,
+                kernel_params=params,
+                c1=1.0,
+                c2=2.0,
+                holder_beta=0.6,
+                time_lipschitz=0.0,
+                smoothness=HOLDER,
+                label="holder-root(1,1)",
+                holder_const=1.0,
+            )
+
+    def test_params_are_read_only(self):
+        # a write would change sigma under the declared holder_beta and bounds
+        c = builtin_coefficient("holder-root", [1.0, 1.0, 0.6, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            c.kernel_params[2] = 0.0
+
     def test_direct_construction_validates_kind(self):
         c = builtin_coefficient("constant", [2.0])
         with pytest.raises(ValueError, match="unknown coefficient kind"):
-            replace(c, kernel_kind=len(_kernels.KINDS))
+            replace(c, kernel_kind=_kernels.KIND_STEP_MOLLIFIED + 1)
 
     def test_compares_and_hashes_without_error(self):
         c = builtin_coefficient("smooth-sin", [2.0, 1.0])

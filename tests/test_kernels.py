@@ -6,6 +6,10 @@ oracle (tests/oracles.py). The vectorized clock of a time-independent sigma
 (a cumsum) must agree exactly with the interpreted scalar loop.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +44,22 @@ class TestClockLanes:
         assert (k_seq, st_seq) == (k_vec, st_vec)
         np.testing.assert_array_equal(buf_seq[: k_seq + 1], buf_vec[: k_vec + 1])
 
+    def test_cumsum_identical_to_interpreted_loop_holder_beta_06(self):
+        # both routes take |x - c|^beta from libm's pow; numpy's vector ** at
+        # beta 0.6 differs from it in ~5% of elements on AVX-512 CPUs
+        c = builtin_coefficient("holder-root", [1.0, 1.0, 0.6, 0.0])
+        for sample in range(1, 6):
+            driver = generate_path(1024, 10.0, 0.0, SEED, sample)
+            args = (driver.values, 1.0 / 1024, 1.0, c.c1, c.c2, c.bound_tolerance)
+            buf_seq, k_seq, st_seq = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
+            buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(
+                c.kernel_kind, c.kernel_params, *args
+            )
+            assert (k_seq, st_seq) == (k_vec, st_vec), sample
+            np.testing.assert_array_equal(
+                buf_seq[: k_seq + 1], buf_vec[: k_vec + 1], err_msg=f"sample {sample}"
+            )
+
     def test_bounds_breach_detected_same_knot(self):
         c = builtin_coefficient("constant", [2.0])
         driver = generate_path(16, 4.0, 0.0, SEED, 3)
@@ -56,6 +76,43 @@ class TestClockLanes:
         args = (driver.values, 1.0 / 16, 1.0, c.c1, c.c2, c.bound_tolerance)
         _, _, status = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
         assert status == _kernels.EXHAUSTED
+
+
+_CLOCK_DIGEST = """
+import hashlib, sys
+from tcsde.brownian import generate_path
+from tcsde.diffusion import builtin_coefficient
+from tcsde.timechange import build_time_change
+c = builtin_coefficient(sys.argv[1], [float(v) for v in sys.argv[2:]])
+tc = build_time_change(generate_path(1024, 10.0, 0.0, %d, 1), c, 2.5)
+print(hashlib.sha256(tc.clock.tobytes()).hexdigest())
+""" % SEED
+
+
+@pytest.mark.parametrize(
+    "name,params", [("holder-root", ["1", "1", "0.6", "0"]), ("smooth-sin", ["2", "1"])]
+)
+def test_clock_bytes_independent_of_cpu_dispatch(name, params):
+    """The clock's bytes do not depend on which SIMD targets numpy dispatches to.
+
+    A child process builds one clock with numpy's AVX-512 dispatch on, and
+    another with it off. On a CPU without AVX-512 both children run the same
+    code, and the test passes trivially.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = subprocess.run(
+            [sys.executable, "-c", _CLOCK_DIGEST, name, *params],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def _sups(ta, ya, tb, yb, t_hi):
