@@ -7,9 +7,9 @@ Python floats and the vectorized routes on arrays, with libm's pow in both.
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
     on the uniform Brownian grid, stopping at the first knot >= target time.
-    A time-independent sigma is integrated by cumsum, which is bit identical
-    to sequential accumulation; the time-dependent kind runs the interpreted
-    loop;
+    Every kind runs one windowed Picard sweep of cumsum passes, each resumed
+    from the last exact knot, so the result is bit identical to the
+    interpreted loop _clock_seq, which the tests keep as its oracle;
   * Euler-Maruyama recursion;
   * exact sup of |A - B| for two piecewise-linear paths. The difference is
     linear between consecutive knots of either path, so its sup is attained
@@ -76,30 +76,63 @@ def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
     return clock, m - 1, EXHAUSTED
 
 
+#: Knots per window of the clock's Picard sweep.
+CLOCK_WINDOW = 2048
+
+
 def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     """Clock recursion for a builtin coefficient; returns (buffer, k, status).
 
-    Time-independent kinds are vectorized through cumsum (bit identical to
-    sequential accumulation); the time-dependent kind runs the interpreted
-    loop.
+    The Euler clock c[k+1] = c[k] + inv_n / sigma(c[k], driver[k])^2 is the
+    fixed point of c = cumsum(inv_n / sigma(c, driver)^2), swept window by
+    window. A pass over a window [j, e] starts at its last exact knot j and
+    accumulates from c[j] in the loop's order, so every knot up to and
+    including the first one the pass changed is exact. Bounds and t_end are
+    checked on that exact prefix only, and the pass restarts from it; each
+    pass adds an exact knot, so the sweep ends. The result is _clock_seq's, bit
+    for bit, with the same (k, status). A time-independent sigma ignores the
+    clock, so its first pass over each window is already the fixed point. The
+    sweep stops in the window where the clock reaches t_end.
     """
-    if kind == KIND_TIME_SMOOTH:
-        return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
-    sig = sigma_of(kind, p, VECTOR_OPS)(0.0, driver[:-1])
-    clock = np.empty(driver.shape[0], dtype=np.float64)
+    sigma = sigma_of(kind, p, VECTOR_OPS)
+    timed = kind == KIND_TIME_SMOOTH
+    last = driver.shape[0] - 1
+    clock = np.empty(last + 1, dtype=np.float64)
     clock[0] = 0.0
-    np.cumsum(inv_n / (sig * sig), out=clock[1:])
-    k = int(np.searchsorted(clock, t_end, side="left"))
-    if k >= clock.shape[0]:
-        bad = np.flatnonzero((sig < lo - tol) | (sig > hi + tol))
-        if bad.size:
-            return clock, int(bad[0]), BOUNDS_BREACH
-        return clock, clock.shape[0] - 1, EXHAUSTED
-    used = sig[:k]
-    bad = np.flatnonzero((used < lo - tol) | (used > hi + tol))
-    if bad.size:
-        return clock, int(bad[0]), BOUNDS_BREACH
-    return clock, k, OK
+    ramp = np.arange(1.0, CLOCK_WINDOW)
+    j = 0
+    # sigma^2 can underflow to 0 or overflow past a breach that ends the sweep
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while j < last:
+            e = min(j + CLOCK_WINDOW, last)
+            # first guess: the last exact step continued in a straight line
+            step = clock[j] - clock[j - 1] if j else 0.0
+            clock[j + 1 : e] = clock[j] + step * ramp[: e - j - 1]
+            while j < e:
+                s = sigma(clock[j:e], driver[j:e])
+                a = inv_n / (s * s)
+                a[0] += clock[j]
+                np.cumsum(a, out=a)
+                q = e - j - 1
+                if timed:
+                    changed = a != clock[j + 1 : e + 1]
+                    first = int(changed.argmax())
+                    q = first if changed[first] else q
+                # knots j+1 .. j+1+q are exact, and so are s[0 .. q]
+                clock[j + 1 : e + 1] = a
+                seen = s[: q + 1]
+                bad = np.flatnonzero((seen < lo - tol) | (seen > hi + tol))
+                b = int(bad[0]) if bad.size else q + 1
+                # knots j+1 .. j+b follow in-bound steps. Steps are >= 0, and a
+                # NaN carries to the last knot, so if it is below t_end, all are.
+                if b and not a[b - 1] < t_end:
+                    done = np.flatnonzero(a[:b] >= t_end)
+                    if done.size:
+                        return clock, j + 1 + int(done[0]), OK
+                if bad.size:
+                    return clock, j + b, BOUNDS_BREACH
+                j += q + 1
+    return clock, last, EXHAUSTED
 
 
 def em_values_kind(kind, p, increments, n, x0):

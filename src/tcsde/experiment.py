@@ -425,6 +425,17 @@ def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
         raise TcsdeError(f"a worker process died: {exc}") from exc
 
 
+def _power(x: np.ndarray, e: float) -> np.ndarray:
+    """x**e elementwise, with the same bytes on every CPU.
+
+    numpy's ** is exact on every CPU only where it reduces to reciprocal,
+    ones, sqrt, copy or square; other exponents may take a SIMD pow that
+    differs from libm's by CPU. np.float_power is libm's pow, but at e = 2 it
+    differs from x*x, so the fast paths keep numpy's **.
+    """
+    return x**e if e in (-1.0, 0.0, 0.5, 1.0, 2.0) else np.float_power(x, e)
+
+
 def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> RateReport:
     """Estimate L^p sup-errors over the ladder and regress the empirical order.
 
@@ -442,12 +453,12 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
     # a large p can overflow or underflow errs**p: such a level is refused,
     # not warned about, when its mean or spread is lost to zero or infinity
     with np.errstate(all="ignore"):
-        powered = errs**p
-        lp_mean = np.mean(powered, axis=0) ** (1.0 / p)
+        powered = _power(errs, p)
+        lp_mean = _power(np.mean(powered, axis=0), 1.0 / p)
         m = config.samples
         se_pow = np.std(powered, axis=0, ddof=1) / np.sqrt(m)
         # delta method: d/dm m^(1/p) = (1/p) m^(1/p - 1)
-        stderr = np.where(lp_mean > 0, lp_mean ** (1.0 - p) / p * se_pow, 0.0)
+        stderr = np.where(lp_mean > 0, _power(lp_mean, 1.0 - p) / p * se_pow, 0.0)
         lost = (np.any(errs > 0, axis=0) & (lp_mean == 0)) | ~np.isfinite(lp_mean + stderr)
         lost |= (se_pow == 0) & (powered.max(axis=0) > powered.min(axis=0))
     if lost.any():

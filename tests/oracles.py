@@ -6,8 +6,13 @@ so agreement with the package is a genuine dual-route check. Two exceptions
 read through the package: pl_sup_union reads paths with its pl_eval_many so
 that its grid route can be compared bit for bit, and check_contract samples a
 coefficient with its sigma_of over VECTOR_OPS, the formula the kernels run.
+digests_with_avx512_on_and_off runs a script twice, to check that its output
+does not depend on numpy's SIMD dispatch.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,3 +283,24 @@ def check_contract(
         worst_holder_at=(float(t[j_worst]), float(x[j_worst]), float(y[j_worst])),
         holder_violations=int(np.count_nonzero(ratio > coeff.holder_const + holder_tol)),
     )
+
+
+def digests_with_avx512_on_and_off(script, *args):
+    """Run a Python script that prints a digest, in two child processes: one
+    with numpy's AVX-512 dispatch on and one with it off. Returns both lines.
+
+    On a CPU without AVX-512 both children run the same code.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    return digests

@@ -48,6 +48,17 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
+_LP_REPORT_DIGEST = """
+import hashlib, json
+from tcsde.experiment import ExperimentConfig, run_experiment
+cfg = ExperimentConfig(
+    coefficient="holder-root", params=(1.0, 1.0, 0.6, 0.0), sde_horizon=1.0, x0=0.0,
+    resolutions=(16, 32, 64), ref_resolution=512, p=3.0, samples=32, master_seed=%d,
+)
+text = json.dumps(run_experiment(cfg).to_json_dict(), sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+""" % SEED
+
 _positive = st.floats(1e-3, 1e3)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -362,6 +373,12 @@ class TestRunExperiment:
         expected = np.mean(per_sample**3.0, axis=0) ** (1 / 3.0)
         got = np.array([err for _, err, _ in rep.per_resolution])
         np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    def test_lp_report_bytes_independent_of_cpu_dispatch(self):
+        # at p = 3 the powers leave numpy's exact fast paths (square, sqrt,
+        # reciprocal); numpy's vector ** then differs from libm's pow by CPU
+        digests = oracles.digests_with_avx512_on_and_off(_LP_REPORT_DIGEST)
+        assert digests[0] == digests[1]
 
     def test_monotone_coupling_sanity(self):
         # per-sample sup-error at n should be >= the error at 2n most of the

@@ -2,13 +2,11 @@
 
 The sup reads each path at the other's knots; it contains no transcendentals
 and must agree bit for bit with the merge-walk oracle and the union-grid
-oracle (tests/oracles.py). The vectorized clock of a time-independent sigma
-(a cumsum) must agree exactly with the interpreted scalar loop.
+oracle (tests/oracles.py). The clock's windowed Picard sweep must agree bit
+for bit, and in (k, status), with the interpreted loop _kernels._clock_seq,
+for every kind: at window edges, on exhaustion and on a bounds breach
+anywhere in a window.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ import oracles
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
+from tcsde.timechange import required_horizon
 
 SEED = 20260808
 
@@ -33,9 +32,39 @@ def _random_pl(rng, knots, scale=1.0):
     return t, y
 
 
+#: every corpus kind, with holder-root at beta 0.3, 0.5 and 0.6
+CLOCK_CASES = [
+    ("constant", [2.0]),
+    ("smooth-sin", [2.0, 1.0]),
+    ("time-smooth", [2.0, 1.0]),
+    ("holder-root", [1.0, 1.0, 0.3, 0.0]),
+    ("holder-root", [1.0, 1.0, 0.5, 0.0]),
+    ("holder-root", [1.0, 1.0, 0.6, 0.0]),
+    ("step-mollified", [1.0, 2.0, 0.0, 0.5]),
+]
+
+W = _kernels.CLOCK_WINDOW
+
+
+def _both_clocks(kind, p, driver, inv_n, t_end, lo, hi, tol):
+    """Run the loop and the sweep; assert the same (k, status) and knots."""
+    args = (kind, p, driver, inv_n, t_end, lo, hi, tol)
+    buf_seq, k_seq, st_seq = _kernels._clock_seq(*args)
+    buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(*args)
+    assert (k_vec, st_vec) == (k_seq, st_seq)
+    np.testing.assert_array_equal(buf_vec[: k_vec + 1], buf_seq[: k_seq + 1])
+    return buf_seq, k_seq, st_seq
+
+
+def _smooth_driver(knots):
+    # |x| <= 0.3; on 3 windows at n = 4096 the clock stays below 0.33, so
+    # sigma = 2 + sin(x + t) stays below 2.6
+    return 0.3 * np.sin(np.arange(knots) / 50.0)
+
+
 class TestClockLanes:
     def test_cumsum_identical_to_interpreted_loop(self):
-        # non-transcendental kind: the cumsum and the loop must agree exactly
+        # non-transcendental kind: the sweep and the loop must agree exactly
         c = builtin_coefficient("holder-root", CORPUS_PARAMS["holder-root"])
         driver = generate_path(32, 10.0, 0.0, SEED, 1)
         args = (driver.values, 1.0 / 32, 1.0, c.c1, c.c2, c.bound_tolerance)
@@ -45,8 +74,9 @@ class TestClockLanes:
         np.testing.assert_array_equal(buf_seq[: k_seq + 1], buf_vec[: k_vec + 1])
 
     def test_cumsum_identical_to_interpreted_loop_holder_beta_06(self):
-        # both routes take |x - c|^beta from libm's pow; numpy's vector ** at
-        # beta 0.6 differs from it in ~5% of elements on AVX-512 CPUs
+        # the sweep and the loop take |x - c|^beta from libm's pow; numpy's
+        # vector ** at beta 0.6 differs from it in ~5% of elements on AVX-512
+        # CPUs
         c = builtin_coefficient("holder-root", [1.0, 1.0, 0.6, 0.0])
         for sample in range(1, 6):
             driver = generate_path(1024, 10.0, 0.0, SEED, sample)
@@ -59,6 +89,92 @@ class TestClockLanes:
             np.testing.assert_array_equal(
                 buf_seq[: k_seq + 1], buf_vec[: k_vec + 1], err_msg=f"sample {sample}"
             )
+
+    @pytest.mark.parametrize("n", [16, 1024, 2**14])
+    @pytest.mark.parametrize("name,params", CLOCK_CASES)
+    def test_sweep_identical_to_loop(self, name, params, n):
+        c = builtin_coefficient(name, params)
+        driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 2)
+        _, _, status = _both_clocks(
+            c.kernel_kind, c.kernel_params, driver.values, 1.0 / n, 1.0,
+            c.c1, c.c2, c.bound_tolerance,
+        )
+        assert status == _kernels.OK
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([16, 64, 256, 1024, 4096]),
+        t_end=st.floats(1e-3, 2.0),
+        horizon=st.floats(0.01, 12.0),
+    )
+    def test_time_smooth_sweep_property(self, seed, n, t_end, horizon):
+        # the driver may run out before t_end, so EXHAUSTED is drawn too
+        c = builtin_coefficient("time-smooth", [2.0, 1.0])
+        driver = generate_path(n, horizon, 0.0, seed, 1)
+        _both_clocks(
+            c.kernel_kind, c.kernel_params, driver.values, 1.0 / n, t_end,
+            c.c1, c.c2, c.bound_tolerance,
+        )
+
+    @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
+    @pytest.mark.parametrize("at", [W - 1, W, W + 1, 2 * W])
+    def test_t_end_reached_at_window_edges(self, name, at):
+        # t_end is the loop's clock at a knot next to the end of a window,
+        # so the sweep must stop exactly there
+        c = builtin_coefficient(name, [2.0, 1.0])
+        args = (c.kernel_kind, c.kernel_params, _smooth_driver(3 * W), 1.0 / 4096)
+        clock, _, _ = _kernels._clock_seq(*args, np.inf, c.c1, c.c2, c.bound_tolerance)
+        _, k, status = _both_clocks(*args, clock[at], c.c1, c.c2, c.bound_tolerance)
+        assert (k, status) == (at, _kernels.OK)
+
+    @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_driver_ending_at_a_window_edge(self, name, windows):
+        c = builtin_coefficient(name, [2.0, 1.0])
+        last = windows * W
+        args = (c.kernel_kind, c.kernel_params, _smooth_driver(last + 1), 1.0 / 4096)
+        bounds = (c.c1, c.c2, c.bound_tolerance)
+        clock, k, status = _both_clocks(*args, np.inf, *bounds)
+        assert (k, status) == (last, _kernels.EXHAUSTED)
+        # the last knot reaches t_end exactly, or falls just short of it
+        assert _both_clocks(*args, clock[last], *bounds)[1:] == (last, _kernels.OK)
+        after = np.nextafter(clock[last], np.inf)
+        assert _both_clocks(*args, after, *bounds)[1:] == (last, _kernels.EXHAUSTED)
+
+    @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
+    @pytest.mark.parametrize("at", [0, 1000, W - 1, W, W + 1000, 2 * W - 1])
+    def test_bounds_breach_anywhere_in_a_window(self, name, at):
+        # sigma reads 3.0 at knot `at` and stays below 2.6 before it; the
+        # bound 2.9 is breached first there, at a window's first, middle or
+        # last knot
+        c = builtin_coefficient(name, [2.0, 1.0])
+        timed = name == "time-smooth"
+        driver = _smooth_driver(3 * W)
+        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / 4096)
+        clock, _, _ = _kernels._clock_seq(*args, np.inf, c.c1, c.c2, c.bound_tolerance)
+        driver[at] = np.pi / 2 - (clock[at] if timed else 0.0)
+        bounds = (c.c1, 2.9, 1e-12)
+        _, k, status = _both_clocks(*args, np.inf, *bounds)
+        assert (k, status) == (at, _kernels.BOUNDS_BREACH)
+        # the loop tests the bound at a knot before its step; t_end at that
+        # knot is reached first, t_end one knot later is not
+        if at:
+            assert _both_clocks(*args, clock[at], *bounds)[1:] == (at, _kernels.OK)
+        assert _both_clocks(*args, clock[at + 1], *bounds)[1:] == (at, _kernels.BOUNDS_BREACH)
+
+    @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
+    def test_nan_after_t_end_in_the_same_window(self, name):
+        # the loop stops at t_end before it reads the NaN; a NaN sigma passes
+        # the bound test and makes every later knot NaN
+        c = builtin_coefficient(name, [2.0, 1.0])
+        driver = _smooth_driver(W)
+        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / 4096)
+        bounds = (c.c1, c.c2, c.bound_tolerance)
+        clock, _, _ = _kernels._clock_seq(*args, np.inf, *bounds)
+        driver[1500:] = np.nan
+        assert _both_clocks(*args, clock[1000], *bounds)[1:] == (1000, _kernels.OK)
+        assert _both_clocks(*args, np.inf, *bounds)[1:] == (W - 1, _kernels.EXHAUSTED)
 
     def test_bounds_breach_detected_same_knot(self):
         c = builtin_coefficient("constant", [2.0])
@@ -76,21 +192,27 @@ class TestClockLanes:
         args = (driver.values, 1.0 / 16, 1.0, c.c1, c.c2, c.bound_tolerance)
         _, _, status = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
         assert status == _kernels.EXHAUSTED
+        _both_clocks(c.kernel_kind, c.kernel_params, *args)
 
 
 _CLOCK_DIGEST = """
 import hashlib, sys
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
-from tcsde.timechange import build_time_change
+from tcsde.timechange import build_time_change, required_horizon
 c = builtin_coefficient(sys.argv[1], [float(v) for v in sys.argv[2:]])
-tc = build_time_change(generate_path(1024, 10.0, 0.0, %d, 1), c, 2.5)
+tc = build_time_change(generate_path(1024, required_horizon(c, 2.5, 1024), 0.0, %d, 1), c, 2.5)
 print(hashlib.sha256(tc.clock.tobytes()).hexdigest())
 """ % SEED
 
 
 @pytest.mark.parametrize(
-    "name,params", [("holder-root", ["1", "1", "0.6", "0"]), ("smooth-sin", ["2", "1"])]
+    "name,params",
+    [
+        ("holder-root", ["1", "1", "0.6", "0"]),
+        ("smooth-sin", ["2", "1"]),
+        ("time-smooth", ["2", "1"]),
+    ],
 )
 def test_clock_bytes_independent_of_cpu_dispatch(name, params):
     """The clock's bytes do not depend on which SIMD targets numpy dispatches to.
@@ -99,19 +221,7 @@ def test_clock_bytes_independent_of_cpu_dispatch(name, params):
     another with it off. On a CPU without AVX-512 both children run the same
     code, and the test passes trivially.
     """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    digests = []
-    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        out = subprocess.run(
-            [sys.executable, "-c", _CLOCK_DIGEST, name, *params],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        digests.append(out.stdout.strip())
+    digests = oracles.digests_with_avx512_on_and_off(_CLOCK_DIGEST, name, *params)
     assert digests[0] == digests[1]
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestClockConstruction:
         driver = generate_path(8, 10.0, 0.0, SEED, 0)
         with pytest.raises(ContractViolationError):
             build_time_change(driver, lying, 1.0)
+
+    def test_underflowing_sigma_raises_contract_error_without_warning(self):
+        # sigma = 1e-300 left of the ramp, so sigma^2 underflows to 0 there;
+        # at x0 = 0 sigma is ~1, which breaches the declared [2, 2] at knot 0
+        # before any step divides by zero
+        c = replace(builtin_coefficient("step-mollified", [1e-300, 2.0, 0.0, 1e-9]), c1=2.0, c2=2.0)
+        driver = generate_path(64, 10.0, 0.0, SEED, 0)
+        assert np.any(driver.values < -1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=r"\(clock knot 0\)"):
+                build_time_change(driver, c, 1.0)
 
     def test_nonpositive_horizon_rejected(self):
         driver = generate_path(8, 1.0, 0.0, SEED, 0)
