@@ -26,6 +26,7 @@ from .errors import ConfigError, TcsdeError
 from .experiment import (
     SCHEME_COMPARE,
     ExperimentConfig,
+    blame_sample,
     compare_schemes,
     default_jobs,
     run_experiment,
@@ -173,7 +174,8 @@ def cmd_dump_path(args: argparse.Namespace) -> int:
             f"n: {n} is neither in the configured ladder {list(config.resolutions)} "
             f"nor the reference resolution {config.ref_resolution}"
         )
-    sample = sample_paths(config, config.build_coefficient(), args.sample)[n]
+    coeff = config.build_coefficient()
+    sample = blame_sample(args.sample, sample_paths, config, coeff, args.sample)[n]
     name = f"path-{args.sample}-{n}.csv"
     out = _prepare_outputs(args.out, [name], args.force)
     with (out / name).open("w", newline="") as fh:

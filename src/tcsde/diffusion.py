@@ -1,17 +1,18 @@
 """Diffusion coefficients: the bounded-volatility contract and a test corpus.
 
-A coefficient is a builtin kernel kind (one formula in ``_kernels.sigma_of``)
-with its params, together with declared bounds 0 < C1 <= sigma <= C2 and
-regularity metadata (spatial Hoelder exponent and constant, time Lipschitz
-constant). The kernels and ``evaluate`` run the kind's one formula.
-The metadata labels experiments and selects theoretical overlay orders. The
-bounds are a contract, enforced while the clock is built; the test suite
-verifies the corpus against them by sampling.
+A coefficient is a corpus name with its params, and nothing else is given.
+The name picks a kernel kind (one formula in ``_kernels.sigma_of``) and a
+builder, which checks the params and derives from them the two facts the
+strong-rate theorem needs: the bounds 0 < C1 <= sigma <= C2 and the spatial
+Hoelder exponent beta, with the smoothness class that selects the
+theoretical overlay. The bounds are enforced while the clock is built; the
+test suite samples every kind against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,53 +22,70 @@ from . import _kernels
 SMOOTH = "lipschitz-smooth"
 HOLDER = "holder"
 
-#: relative slack when testing declared bounds, so coefficients sitting
+#: relative slack when testing the bounds, so coefficients sitting
 #: exactly on a bound (sigma == C1) are not flagged.
 BOUND_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class DiffusionCoefficient:
-    """Immutable sigma(t, x) of a builtin kind, with declared bounds and
-    regularity metadata; instances are shared freely across workers.
+    """Immutable sigma(t, x) of the corpus kind ``name`` with ``params``;
+    instances are shared freely across workers.
 
-    ``kernel_params`` is a read-only array of exactly as many floats as the
-    kind takes. Instances compare by identity: a field-wise ``==`` would ask
-    the params array for a truth value, which raises.
+    Every other field is derived from those two. Raises ValueError for an
+    unknown name, the wrong number of params, a non-finite param, params the
+    kind's builder refuses, or bounds the float64 clock cannot hold (C2^2 or
+    1/C1^2 not finite). ``params`` becomes a read-only float array. Instances
+    compare by identity: a field-wise ``==`` would ask the params array for a
+    truth value, which raises.
     """
 
-    kernel_kind: int
-    kernel_params: np.ndarray
-    c1: float
-    c2: float
-    holder_beta: float
-    time_lipschitz: float
-    smoothness: str
-    label: str
-    holder_const: float
+    name: str
+    params: np.ndarray
+    kernel_kind: int = field(init=False)
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    holder_beta: float = field(init=False)
+    smoothness: str = field(init=False)
+    label: str = field(init=False)
 
     def __post_init__(self):
-        names = [n for n, (kind, _, _) in _CORPUS.items() if kind == self.kernel_kind]
-        if not names:
-            raise ValueError(f"unknown coefficient kind {self.kernel_kind!r}")
-        _check_arity(names[0], self.kernel_params)
-        if not self.c1 > 0:
-            raise ValueError(f"lower bound must be positive, got {self.c1}")
-        if self.c2 < self.c1:
-            raise ValueError(f"bounds out of order: C1={self.c1} > C2={self.c2}")
-        if not 0 < self.holder_beta <= 1:
-            raise ValueError(f"holder_beta must lie in (0, 1], got {self.holder_beta}")
-        if self.time_lipschitz < 0:
-            raise ValueError("time_lipschitz must be >= 0")
-        if self.smoothness not in (SMOOTH, HOLDER):
-            raise ValueError(f"unknown smoothness class {self.smoothness!r}")
-        params = np.array(self.kernel_params, dtype=np.float64)
+        if self.name not in _CORPUS:
+            raise ValueError(
+                f"unknown coefficient {self.name!r}; available: {', '.join(corpus_names())}"
+            )
+        kind, build, arity = _CORPUS[self.name]
+        params = np.array(self.params, dtype=np.float64)
+        if params.shape != (arity,):
+            raise ValueError(f"{self.name} takes {arity} parameter(s), got {params.size}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"{self.name} params must be finite, got {params.tolist()}")
         params.flags.writeable = False
-        object.__setattr__(self, "kernel_params", params)
+        try:
+            c1, c2, beta, smoothness = build(*params.tolist())
+        except ValueError as exc:
+            raise ValueError(f"{self.name} {exc}") from None
+        # the clock steps by 1/sigma^2 and provisions C2^2 * T of Brownian time
+        if not (math.isfinite(c2 * c2) and c1 * c1 > 0 and math.isfinite(1.0 / (c1 * c1))):
+            raise ValueError(
+                f"{self.name} bounds [{c1:g}, {c2:g}] are outside what the float64 clock "
+                "can hold (C2^2 or 1/C1^2 is not finite)"
+            )
+        derived = dict(
+            params=params, kernel_kind=kind, c1=c1, c2=c2, holder_beta=beta,
+            smoothness=smoothness, label=f"{self.name}({_fmt(params)})",
+        )
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
+
+    @property
+    def kernel_params(self) -> np.ndarray:
+        """``params``, under the name the kernels' callers and perfbench read."""
+        return self.params
 
     def evaluate(self, t: float, x: float) -> float:
         """sigma(t, x), by the formula and the operations the interpreted loops use."""
-        return _kernels.sigma_of(self.kernel_kind, self.kernel_params, _kernels.SCALAR_OPS)(t, x)
+        return _kernels.sigma_of(self.kernel_kind, self.params, _kernels.SCALAR_OPS)(t, x)
 
     @property
     def bound_tolerance(self) -> float:
@@ -78,94 +96,51 @@ def _fmt(params: Sequence[float]) -> str:
     return ",".join(f"{float(v):g}" for v in params)
 
 
-def _build_constant(params):
-    (c,) = params
+# A builder takes its kind's params as floats, refuses those outside the
+# kind's domain (its message follows the kind's name), and returns
+# (C1, C2, beta, smoothness class).
+
+
+def _build_constant(c):
     if c <= 0:
-        raise ValueError(f"constant level must be positive, got {c}")
-    return dict(
-        c1=c,
-        c2=c,
-        holder_beta=1.0,
-        time_lipschitz=0.0,
-        smoothness=SMOOTH,
-        holder_const=0.0,
-    )
+        raise ValueError(f"level must be positive, got {c}")
+    return c, c, 1.0, SMOOTH
 
 
-def _build_smooth_sin(params):
-    a, b = params
+def _build_sine(a, b):
+    """a + b*sin(.), for smooth-sin and time-smooth."""
     if not a > b > 0:
-        raise ValueError(f"smooth-sin requires a > b > 0, got a={a}, b={b}")
-    return dict(
-        c1=a - b,
-        c2=a + b,
-        holder_beta=1.0,
-        time_lipschitz=0.0,
-        smoothness=SMOOTH,
-        holder_const=b,
-    )
+        raise ValueError(f"requires a > b > 0, got a={a}, b={b}")
+    return a - b, a + b, 1.0, SMOOTH
 
 
-def _build_time_smooth(params):
-    a, b = params
-    if not a > b > 0:
-        raise ValueError(f"time-smooth requires a > b > 0, got a={a}, b={b}")
-    return dict(
-        c1=a - b,
-        c2=a + b,
-        holder_beta=1.0,
-        time_lipschitz=b,
-        smoothness=SMOOTH,
-        holder_const=b,
-    )
-
-
-def _build_holder_root(params):
-    a, b, beta, _ = params
+def _build_holder_root(a, b, beta, _centre):
     if a <= 0 or b <= 0:
-        raise ValueError(f"holder-root requires a, b > 0, got a={a}, b={b}")
+        raise ValueError(f"requires a, b > 0, got a={a}, b={b}")
     if not 0 < beta < 1:
-        raise ValueError(f"holder-root requires beta in (0, 1), got {beta}")
-    return dict(
-        c1=a,
-        c2=a + b,
-        holder_beta=beta,
-        time_lipschitz=0.0,
-        smoothness=HOLDER,
-        holder_const=1.0,
-    )
+        raise ValueError(f"requires beta in (0, 1), got {beta}")
+    return a, a + b, beta, HOLDER
 
 
-def _build_step_mollified(params):
-    lo, hi, _, width = params
+def _build_step_mollified(lo, hi, _centre, width):
     if lo <= 0 or hi <= 0:
-        raise ValueError(f"step-mollified requires positive levels, got {lo}, {hi}")
+        raise ValueError(f"requires positive levels, got {lo}, {hi}")
     if width <= 0:
-        raise ValueError(f"step-mollified requires positive ramp width, got {width}")
-    return dict(
-        c1=min(lo, hi),
-        c2=max(lo, hi),
-        holder_beta=1.0,
-        time_lipschitz=0.0,
-        smoothness=HOLDER,
-        holder_const=abs(hi - lo) / width,
-    )
+        raise ValueError(f"requires positive ramp width, got {width}")
+    # the level past the ramp as the formula rounds it: lo + (hi - lo) can
+    # differ from hi, down to 0 where hi is below lo's rounding error
+    far = lo + (hi - lo)
+    return min(lo, far), max(lo, far), 1.0, HOLDER
 
 
-#: name -> (kernel kind, builder, arity). A builder checks its kind's params
-#: and returns the declared bounds and regularity metadata.
+#: name -> (kernel kind, builder, arity)
 _CORPUS = {
     "constant": (_kernels.KIND_CONSTANT, _build_constant, 1),
-    "smooth-sin": (_kernels.KIND_SMOOTH_SIN, _build_smooth_sin, 2),
-    "time-smooth": (_kernels.KIND_TIME_SMOOTH, _build_time_smooth, 2),
+    "smooth-sin": (_kernels.KIND_SMOOTH_SIN, _build_sine, 2),
+    "time-smooth": (_kernels.KIND_TIME_SMOOTH, _build_sine, 2),
     "holder-root": (_kernels.KIND_HOLDER_ROOT, _build_holder_root, 4),
     "step-mollified": (_kernels.KIND_STEP_MOLLIFIED, _build_step_mollified, 4),
 }
-
-
-def _check_arity(name: str, params: Sequence[float]) -> None:
-    if len(params) != _CORPUS[name][2]:
-        raise ValueError(f"{name} takes {_CORPUS[name][2]} parameter(s), got {len(params)}")
 
 
 def corpus_names() -> list[str]:
@@ -173,14 +148,6 @@ def corpus_names() -> list[str]:
 
 
 def builtin_coefficient(name: str, params: Sequence[float]) -> DiffusionCoefficient:
-    """Build a corpus coefficient by name; raises ValueError for bad input."""
-    if name not in _CORPUS:
-        raise ValueError(
-            f"unknown coefficient {name!r}; available: {', '.join(corpus_names())}"
-        )
-    kind, builder, _ = _CORPUS[name]
-    _check_arity(name, params)
-    params = [float(v) for v in params]
-    return DiffusionCoefficient(
-        kernel_kind=kind, kernel_params=params, label=f"{name}({_fmt(params)})", **builder(params)
-    )
+    """``DiffusionCoefficient(name, params)``: a function, so that
+    perfbench/tracing.py can count builds by wrapping it."""
+    return DiffusionCoefficient(name, params)

@@ -10,7 +10,7 @@ class ConfigError(TcsdeError):
 
 
 class ContractViolationError(TcsdeError):
-    """A diffusion coefficient broke its declared bounds during a run."""
+    """A diffusion coefficient left its bounds during a run."""
 
 
 class PathExhaustedError(TcsdeError):

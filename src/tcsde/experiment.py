@@ -44,6 +44,7 @@ __all__ = [
     "RateReport",
     "SchemeComparison",
     "sample_paths",
+    "blame_sample",
     "strong_error_one_sample",
     "run_experiment",
     "compare_schemes",
@@ -156,10 +157,22 @@ class ExperimentConfig:
             )
 
     def build_coefficient(self) -> DiffusionCoefficient:
+        """The configured coefficient. Raises ConfigError for params its kind
+        refuses, and for a T whose first driver numpy cannot index."""
         try:
-            return builtin_coefficient(self.coefficient, self.params)
+            coeff = builtin_coefficient(self.coefficient, self.params)
         except ValueError as exc:
             raise ConfigError(f"coefficient: {exc}") from exc
+        schemes = (SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA)
+        horizon = max(_driver_horizon(self, coeff, s) for s in schemes
+                      if self.scheme in (s, SCHEME_COMPARE))
+        # the driver holds ref_resolution * horizon + 1 knots
+        if not horizon < np.iinfo(np.intp).max / self.ref_resolution:
+            raise ConfigError(
+                f"T: {self.sde_horizon} needs a driver of Brownian horizon {horizon:g} "
+                f"at ref_resolution {self.ref_resolution}, more knots than numpy can index"
+            )
+        return coeff
 
     def validate_for_run(self) -> None:
         """Extra requirements enforced before a full experiment run."""
@@ -173,7 +186,7 @@ class ExperimentConfig:
         coeff = self.build_coefficient()
         if self.scheme != SCHEME_TIME_CHANGE and coeff.holder_beta < 0.5:
             raise ConfigError(
-                "scheme: the Euler-Maruyama baseline requires a declared spatial "
+                "scheme: the Euler-Maruyama baseline requires a spatial "
                 f"Hoelder exponent >= 0.5 (got beta={coeff.holder_beta}); no strong "
                 "convergence target is available for rougher coefficients, so a "
                 "self-convergence slope would not measure a limit object"
@@ -211,6 +224,13 @@ class SampleResult:
     clock_sup: Optional[np.ndarray] = None
 
 
+def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:
+    """Brownian horizon of the driver sample_paths first draws for scheme."""
+    if scheme == SCHEME_EULER_MARUYAMA:
+        return config.sde_horizon + 2.0 / min(config.resolutions)
+    return required_horizon(coeff, config.sde_horizon, min(config.resolutions))
+
+
 def sample_paths(
     config: ExperimentConfig, coeff: DiffusionCoefficient, sample_index: int
 ) -> dict[int, PiecewiseLinearPath]:
@@ -229,10 +249,11 @@ def sample_paths(
     t_end = config.sde_horizon
     ref = config.ref_resolution
     resolutions = (ref,) + config.resolutions
+    horizon = _driver_horizon(config, coeff, config.scheme)
     if config.scheme == SCHEME_EULER_MARUYAMA:
         fine = generate_path(
             ref,
-            t_end + 2.0 / min(config.resolutions),
+            horizon,
             0.0,
             config.master_seed,
             sample_index,
@@ -242,7 +263,6 @@ def sample_paths(
             n: em_simulate(coeff, fine.subsample(ref // n), t_end, config.x0)
             for n in resolutions
         }
-    horizon = required_horizon(coeff, t_end, min(config.resolutions))
     fine = generate_path(
         ref,
         horizon,
@@ -324,13 +344,22 @@ def _origin_module(exc: Exception) -> str:
     return module
 
 
+def blame_sample(sample_index: int, func, *args):
+    """func(*args), where any failure but a config error is raised as an
+    ExperimentError naming the sample and the module it failed in."""
+    try:
+        return func(*args)
+    except ConfigError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - reported with the sample index
+        message = str(exc) or type(exc).__name__  # a bare MemoryError has no text
+        raise ExperimentError(sample_index, _origin_module(exc), message) from exc
+
+
 def _run_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
     # module-level so process pools can pickle it; the error it raises
     # pickles by its fields, so a pool re-raises it unchanged
-    try:
-        return strong_error_one_sample(config, sample_index)
-    except Exception as exc:  # noqa: BLE001 - reported with the sample index
-        raise ExperimentError(sample_index, _origin_module(exc), str(exc)) from exc
+    return blame_sample(sample_index, strong_error_one_sample, config, sample_index)
 
 
 def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
@@ -509,7 +538,7 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
 def compare_schemes(config: ExperimentConfig, jobs: Optional[int] = None) -> SchemeComparison:
     """Run both schemes on the same configuration and return paired reports.
 
-    Refuses coefficients with declared spatial Hoelder exponent below 1/2:
+    Refuses coefficients with spatial Hoelder exponent below 1/2:
     the Euler-Maruyama baseline has no strong-convergence guarantee there,
     so its self-convergence slope would not measure a limit object.
     """

@@ -66,8 +66,8 @@ def build_time_change(
     """Integrate the clock along the driver until it first reaches sde_horizon.
 
     Raises PathExhaustedError when the driver has too few knots (the caller
-    extends it) and ContractViolationError when sigma leaves its declared
-    bounds at a knot the integration actually visits.
+    extends it) and ContractViolationError when sigma leaves its bounds at a
+    knot the integration actually visits.
     """
     if sde_horizon <= 0:
         raise ValueError(f"sde_horizon must be positive, got {sde_horizon}")
@@ -80,7 +80,7 @@ def build_time_change(
         x_bad = float(driver.values[k])
         raise ContractViolationError(
             f"{sigma.label}: value {sigma.evaluate(t_bad, x_bad)} at "
-            f"(t={t_bad}, x={x_bad}) leaves declared bounds "
+            f"(t={t_bad}, x={x_bad}) leaves its bounds "
             f"[{sigma.c1}, {sigma.c2}] (clock knot {k})"
         )
     if status == _kernels.EXHAUSTED:

@@ -9,6 +9,7 @@ import pytest
 
 from tcsde import cli
 from tcsde.cli import main, parse_config_file
+from tcsde.errors import ConfigError
 from tcsde.experiment import ExperimentConfig
 
 SMALL_CONFIG = """\
@@ -24,6 +25,23 @@ samples        = 12
 master_seed    = 20260808
 scheme         = time-change
 """
+
+
+def _config_text(**values):
+    """SMALL_CONFIG with the given keys set to new values."""
+    lines = []
+    for line in SMALL_CONFIG.splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    return "\n".join(lines) + "\n"
+
+
+def _run_and_dump(cfg, out, n=16):
+    """argv of `run` and of `dump-path` on one config file."""
+    return [
+        ["run", str(cfg), "--out", str(out), "--jobs", "1"],
+        ["dump-path", str(cfg), "--sample", "0", "--n", str(n), "--out", str(out)],
+    ]
 
 
 @pytest.fixture
@@ -346,6 +364,83 @@ class TestRuntimeErrors:
         code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"])
         assert code == 3
         assert "runtime error: a worker process died" in capsys.readouterr().err
+
+
+class TestRefusedBeforeAnySample:
+    """Configs the float64 clock or numpy's indexing cannot carry are config
+    errors naming their field, in both commands, before any driver is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def _no_driver(self, monkeypatch):
+        import tcsde.experiment as exp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a driver was drawn")
+
+        monkeypatch.setattr(exp, "generate_path", refuse)
+
+    @pytest.mark.parametrize(
+        "coefficient,params", [("constant", "1e200"), ("constant", "1e-200"),
+                               ("smooth-sin", "1e308, 9e307")],
+    )
+    def test_bounds_float64_cannot_square(self, tmp_path, capsys, coefficient, params):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(coefficient=coefficient, params=params))
+        for argv in _run_and_dump(cfg, tmp_path / "o"):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: coefficient: ") and "C2^2" in err
+
+    @pytest.mark.parametrize("scheme", ["time-change", "euler-maruyama", "compare"])
+    def test_driver_numpy_cannot_index(self, tmp_path, capsys, scheme):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(T="1e300", resolutions="4, 8", ref_resolution="32",
+                                    scheme=scheme))
+        for argv in _run_and_dump(cfg, tmp_path / "o", n=8):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: T: ") and "ref_resolution 32" in err
+
+    def test_limit_is_numpy_indexing(self, tmp_path):
+        # smooth-sin (2, 1) draws 1.1 * 9 * T + 2 / 4 Brownian time at
+        # ref_resolution 32: half the intp limit passes, twice it does not
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(resolutions="4, 8", ref_resolution="32"))
+        mapping = parse_config_file(cfg)
+        half = np.iinfo(np.intp).max / 32 / 2 / 9.9
+        ExperimentConfig.from_mapping({**mapping, "T": half}).build_coefficient()
+        with pytest.raises(ConfigError, match="^T: "):
+            ExperimentConfig.from_mapping({**mapping, "T": 4 * half}).build_coefficient()
+
+
+class TestSampleFailures:
+    def test_failed_sample_exits_3_in_both_commands(self, config_file, tmp_path,
+                                                    monkeypatch, capsys):
+        import tcsde.brownian as brownian
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(brownian, "gaussian_increments", out_of_memory)
+        for argv in _run_and_dump(config_file, tmp_path / "o"):
+            assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err == "runtime error: sample 0 failed in brownian: MemoryError\n"
+
+    def test_dump_path_contract_breach_names_the_sample(self, config_file, tmp_path,
+                                                        monkeypatch, capsys):
+        import tcsde.experiment as exp
+        from tcsde.errors import ContractViolationError
+
+        def breach(*args):
+            raise ContractViolationError("synthetic breach")
+
+        monkeypatch.setattr(exp, "build_time_change", breach)
+        argv = _run_and_dump(config_file, tmp_path / "o")[1]
+        argv[argv.index("--sample") + 1] = "3"
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "runtime error: sample 3 failed in experiment: synthetic breach\n"
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -315,7 +315,7 @@ class TestDriverExtension:
 
 
 #: one tiny run per corpus kind with the time-change scheme, and with
-#: Euler-Maruyama wherever the declared Hoelder exponent allows (beta >= 1/2)
+#: Euler-Maruyama wherever the Hoelder exponent allows (beta >= 1/2)
 _KINDS = [
     ("constant", (2.0,)),
     ("smooth-sin", (2.0, 1.0)),
@@ -352,6 +352,23 @@ class TestRunExperiment:
         a = json.dumps(run_experiment(cfg, jobs=1).to_json_dict(), sort_keys=True)
         b = json.dumps(run_experiment(cfg, jobs=2).to_json_dict(), sort_keys=True)
         assert a == b
+
+    @settings(max_examples=8, deadline=None)
+    @given(case=st.sampled_from(_JOBS_CASES), master_seed=st.integers(0, 2**64 - 1))
+    def test_jobs_invariance_over_seeds(self, case, master_seed):
+        name, params, scheme = case
+        cfg = _config(coefficient=name, params=params, scheme=scheme, samples=3,
+                      resolutions=(4, 8), ref_resolution=64, master_seed=master_seed)
+
+        def outcome(jobs):
+            # the report.json text, or the error a failing run raises
+            try:
+                report = run_experiment(cfg, jobs=jobs).to_json_dict()
+            except TcsdeError as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+        assert outcome(1) == outcome(2)
 
     def test_report_structure(self):
         rep = run_experiment(_config(), jobs=2)

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,17 +110,23 @@ class TestClockConstruction:
             build_time_change(short, c, 1.0)  # needs ~4 units of Brownian time
 
     def test_lying_coefficient_raises_contract_error(self):
-        # sigma = 10, outside its own declared bounds
-        lying = replace(builtin_coefficient("constant", [10.0]), c1=1.0, c2=2.0, label="liar")
+        # sigma = 10, outside the bounds the fake claims
+        liar = oracles.lying(builtin_coefficient("constant", [10.0]), c1=1.0, c2=2.0)
         driver = generate_path(8, 10.0, 0.0, SEED, 0)
         with pytest.raises(ContractViolationError):
-            build_time_change(driver, lying, 1.0)
+            build_time_change(driver, liar, 1.0)
 
     def test_underflowing_sigma_raises_contract_error_without_warning(self):
         # sigma = 1e-300 left of the ramp, so sigma^2 underflows to 0 there;
-        # at x0 = 0 sigma is ~1, which breaches the declared [2, 2] at knot 0
-        # before any step divides by zero
-        c = replace(builtin_coefficient("step-mollified", [1e-300, 2.0, 0.0, 1e-9]), c1=2.0, c2=2.0)
+        # at x0 = 0 sigma is ~1, which breaches the claimed [2, 2] at knot 0
+        # before any step divides by zero. No coefficient that can be built
+        # has such a sigma, so the fake lies about its params too
+        c = oracles.lying(
+            builtin_coefficient("step-mollified", [1.0, 2.0, 0.0, 1e-9]),
+            params=np.array([1e-300, 2.0, 0.0, 1e-9]),
+            c1=2.0,
+            c2=2.0,
+        )
         driver = generate_path(64, 10.0, 0.0, SEED, 0)
         assert np.any(driver.values < -1e-9)
         with warnings.catch_warnings():
