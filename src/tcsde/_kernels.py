@@ -10,7 +10,11 @@ Kernels:
     Every kind runs one windowed Picard sweep of cumsum passes, each resumed
     from the last exact knot, so the result is bit identical to the
     interpreted loop _clock_seq, which the tests keep as its oracle;
-  * Euler-Maruyama recursion;
+  * Euler-Maruyama recursion: an interpreted loop over Python floats. It
+    reads the increments and the knot times k/n once as lists, so no step
+    boxes a numpy scalar. Each step is the IEEE double arithmetic, with
+    libm's pow, of the numpy-scalar loop it replaced, so its bytes are that
+    loop's, which the tests keep as its oracle;
   * exact sup of |A - B| for two piecewise-linear paths. The difference is
     linear between consecutive knots of either path, so its sup is attained
     at a knot of A, a knot of B or the right end. Each path is read at the
@@ -34,9 +38,21 @@ EXHAUSTED = 1
 BOUNDS_BREACH = 2
 
 
+def _min(u, v):
+    return v if v < u else u
+
+
+def _max(u, v):
+    return v if v > u else u
+
+
 #: (sin, pow, min, max) on Python floats and on arrays. np.float_power is
-#: libm's pow, as math.pow is; numpy's vector ** is not, on every CPU.
-SCALAR_OPS = (math.sin, math.pow, min, max)
+#: libm's pow, as math.pow is; numpy's vector ** is not, on every CPU. _min
+#: and _max are builtin min(u, v) and max(u, v) for two arguments, the same
+#: rule (the second wins only if strictly smaller or larger, so a NaN or a
+#: signed zero comes back from the same position), without the builtins'
+#: generic iteration on every call.
+SCALAR_OPS = (math.sin, math.pow, _min, _max)
 VECTOR_OPS = (np.sin, np.float_power, np.minimum, np.maximum)
 
 
@@ -136,15 +152,20 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
 
 
 def em_values_kind(kind, p, increments, n, x0):
+    """Euler-Maruyama iterates x[k+1] = x[k] + sigma(k/n, x[k]) * increments[k].
+
+    Python floats overflow to inf without a warning, as the vector routes do
+    under np.errstate. Each k/n from numpy's division equals Python's.
+    """
     sigma = sigma_of(kind, p, SCALAR_OPS)
-    n = float(n)
-    m = increments.shape[0]
-    values = np.empty(m + 1, dtype=np.float64)
-    values[0] = x0
-    for k in range(m):
-        s = sigma(k / n, values[k])
-        values[k + 1] = values[k] + s * increments[k]
-    return values
+    times = (np.arange(increments.shape[0]) / float(n)).tolist()
+    x = float(x0)
+    values = [x]
+    append = values.append
+    for t, dw in zip(times, increments.tolist()):
+        x = x + sigma(t, x) * dw
+        append(x)
+    return np.array(values, dtype=np.float64)
 
 
 def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 Everything here is deliberately written straight-line in plain Python (plus
 np.interp, numpy's own interpolator) without reusing any library internals,
-so agreement with the package is a genuine dual-route check. Two exceptions
-read through the package: pl_sup_union reads paths with its pl_eval_many so
-that its grid route can be compared bit for bit, and check_contract samples a
-coefficient with its sigma_of over VECTOR_OPS, the formula the kernels run,
-against the Hoelder constant the test gives it. lying fakes a coefficient
-whose bounds lie, which the package cannot build.
+so agreement with the package is a genuine dual-route check. Three
+exceptions read through the package: pl_sup_union reads paths with its
+pl_eval_many so that its grid route can be compared bit for bit,
+check_contract samples a coefficient with its sigma_of over VECTOR_OPS, the
+formula the kernels run, against the Hoelder constant the test gives it, and
+em_values_seq, the numpy-scalar Euler-Maruyama loop em_values_kind replaced,
+runs sigma_of over its own ops, with the builtin min and max. lying fakes a
+coefficient whose bounds lie, which the package cannot build.
 digests_with_avx512_on_and_off runs a script twice, to check that its output
 does not depend on numpy's SIMD dispatch.
 """
 
 import copy
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +83,27 @@ def em_recursion(driver_values, n, sigma, t_end, x0):
     for k in range(steps):
         dw = driver_values[k + 1] - driver_values[k]
         values.append(values[k] + sigma(k / n, values[k]) * dw)
+    return values
+
+
+#: (sin, pow, min, max) with the builtin min and max, which the package's
+#: SCALAR_OPS replaced by two-argument functions
+BUILTIN_SCALAR_OPS = (math.sin, math.pow, min, max)
+
+
+def em_values_seq(kind, p, increments, n, x0):
+    """The Euler-Maruyama loop over numpy float64 scalars, as the package ran
+    it before em_values_kind moved to Python floats; its bytes are the
+    reference. Numpy scalars warn on overflow, so callers that compare a
+    path that overflows run it under np.errstate."""
+    sigma = sigma_of(kind, p, BUILTIN_SCALAR_OPS)
+    n = float(n)
+    m = increments.shape[0]
+    values = np.empty(m + 1, dtype=np.float64)
+    values[0] = x0
+    for k in range(m):
+        s = sigma(k / n, values[k])
+        values[k + 1] = values[k] + s * increments[k]
     return values
 
 

@@ -326,6 +326,31 @@ class TestCmdDumpPath:
         assert len(lines) == 18  # 16 steps + initial knot + header
 
 
+class TestSubnormalRampUnderEm:
+    """A step-mollified ramp of subnormal width under Euler-Maruyama: (x - lo)
+    / d overflows at almost every step, and the ramp clips it to 1. Neither
+    command may warn; pytest turns a warning into an error."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text(_config_text(coefficient="step-mollified", params="1, 2, 0, 5e-324",
+                                    scheme="euler-maruyama"))
+        return _run_and_dump(cfg, tmp_path / "out")
+
+    def test_run(self, argvs, tmp_path, capsys):
+        assert main(argvs[0]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(0 < row["mean_error"] < 1 for row in report["per_resolution"])
+
+    def test_dump_path(self, argvs, tmp_path, capsys):
+        assert main(argvs[1]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "out" / "path-0-16.csv").read_text().strip().splitlines()
+        assert len(lines) == 18  # 16 steps + initial knot + header
+
+
 class TestCommittedConfigs:
     def test_examples_parse(self):
         import pathlib

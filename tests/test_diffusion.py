@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import check_contract, lying
+from strategies import ANY, INSIDE
 from tcsde import _kernels
 from tcsde.diffusion import (
     _CORPUS,
@@ -256,32 +257,20 @@ class TestCorpusInvariants:
 #: and non-finite values
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, 1.0, math.nextafter(1.0, 0.0),
           -1.0, 1e154, 1e200, 1e308, math.nan, math.inf, -math.inf]
-_LEVEL = st.floats(1e-150, 1e150)
-_ANY = st.floats(-1e300, 1e300)
-_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-_SINE = st.tuples(_LEVEL, _UNIT).map(lambda au: (au[0], au[0] * au[1]))
-#: params inside each builder's domain (a draw may still round onto its edge)
-_INSIDE = {
-    "constant": st.tuples(_LEVEL),
-    "smooth-sin": _SINE,
-    "time-smooth": _SINE,
-    "holder-root": st.tuples(_LEVEL, _LEVEL, _UNIT, _ANY),
-    "step-mollified": st.tuples(_LEVEL, _LEVEL, _ANY, st.floats(5e-324, 1e300)),
-}
 
 
 @st.composite
 def _draws(draw, name):
     """Params inside the kind's domain, or pushed just outside it, and some
     extra points x at which to read sigma."""
-    params = list(draw(_INSIDE[name]))
+    params = list(draw(INSIDE[name]))
     edge = draw(st.sampled_from(["none", "value", "a == b"]))
     if edge == "value":
         params[draw(st.integers(0, len(params) - 1))] = draw(st.sampled_from(_EDGES))
     elif edge == "a == b" and len(params) == 2:
         # the edge of a > b: b equal to a, or one ulp above it
         params[1] = draw(st.sampled_from([params[0], math.nextafter(params[0], math.inf)]))
-    xs = draw(st.lists(_ANY, max_size=8))
+    xs = draw(st.lists(ANY, max_size=8))
     return params, xs
 
 

@@ -5,15 +5,20 @@ and must agree bit for bit with the merge-walk oracle and the union-grid
 oracle (tests/oracles.py). The clock's windowed Picard sweep must agree bit
 for bit, and in (k, status), with the interpreted loop _kernels._clock_seq,
 for every kind: at window edges, on exhaustion and on a bounds breach
-anywhere in a window.
+anywhere in a window. The Euler-Maruyama loop on Python floats must write the
+bytes of the numpy-scalar loop it replaced (oracles.em_values_seq), and
+SCALAR_OPS' two-argument min and max must return what the builtins return.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import INSIDE
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
@@ -223,6 +228,79 @@ def test_clock_bytes_independent_of_cpu_dispatch(name, params):
     """
     digests = oracles.digests_with_avx512_on_and_off(_CLOCK_DIGEST, name, *params)
     assert digests[0] == digests[1]
+
+
+def _em_both(kind, p, increments, n, x0):
+    """Assert that both loops write the same bytes, and return them."""
+    # numpy scalars warn where Python floats overflow silently; the new loop
+    # runs outside errstate, so a warning from it fails the test
+    with np.errstate(all="ignore"):
+        want = oracles.em_values_seq(kind, p, increments, n, x0).tobytes()
+    assert _kernels.em_values_kind(kind, p, increments, n, x0).tobytes() == want
+    return want
+
+
+_EM_N = [1, 3, 16, 8192]
+#: the ramp whose (x - lo) / d overflows for almost every x
+_SUBNORMAL_RAMP = ("step-mollified", (1.0, 2.0, 0.0, 5e-324))
+
+
+@st.composite
+def _em_cases(draw):
+    """A corpus coefficient with params inside its domain, a level n, a step
+    count (zero, one, or up to two horizons), a finite x0 and a driver seed."""
+    name = draw(st.sampled_from(sorted(INSIDE)))
+    params = draw(INSIDE[name])
+    n = draw(st.sampled_from(_EM_N))
+    steps = draw(st.one_of(st.sampled_from([0, 1, n]), st.integers(0, 2 * n)))
+    x0 = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return name, params, n, steps, x0, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEmLoop:
+    @pytest.mark.parametrize("n", _EM_N)
+    @pytest.mark.parametrize("name,params", CLOCK_CASES + [_SUBNORMAL_RAMP])
+    def test_same_bytes_as_numpy_scalar_loop(self, name, params, n):
+        c = builtin_coefficient(name, params)
+        # 3000 steps at n = 3 read knot times k/n that no power of two gives
+        for steps in (0, 1, n, 3000):
+            driver = generate_path(n, max(steps, 1) / n, 0.0, SEED, steps)
+            increments = np.diff(driver.values[: steps + 1])
+            out = _em_both(c.kernel_kind, c.kernel_params, increments, n, 0.25)
+            assert len(out) == 8 * (steps + 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_em_cases())
+    @example(case=("constant", (2.0,), 1, 0, -0.0, 0))
+    @example(case=(*_SUBNORMAL_RAMP, 16, 16, 0.0, 0))
+    @example(case=(*_SUBNORMAL_RAMP, 8192, 8192, -1e-300, 1))
+    @example(case=("time-smooth", (2.0, 1.0), 3, 6, 1.7976931348623157e308, 2))
+    def test_same_bytes_property(self, case):
+        name, params, n, steps, x0, seed = case
+        try:
+            c = builtin_coefficient(name, params)
+        except ValueError:
+            assume(False)
+        increments = np.random.default_rng(seed).normal(0.0, n**-0.5, steps)
+        _em_both(c.kernel_kind, c.kernel_params, increments, n, x0)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+)
+
+
+@settings(max_examples=300)
+@given(u=_EDGE_FLOATS, v=_EDGE_FLOATS, numpy_scalar=st.booleans())
+def test_two_argument_min_max_are_the_builtins(u, v, numpy_scalar):
+    # repr tells 0.0 from -0.0 and NaN from a number, and identity tells which
+    # argument came back, so a swapped comparison or a moved NaN shows
+    if numpy_scalar:
+        u, v = np.float64(u), np.float64(v)
+    _, _, two_min, two_max = _kernels.SCALAR_OPS
+    for mine, builtin in ((two_min, min), (two_max, max)):
+        got, want = mine(u, v), builtin(u, v)
+        assert repr(got) == repr(want) and got is want, (u, v, builtin)
 
 
 def _sups(ta, ya, tb, yb, t_hi):
