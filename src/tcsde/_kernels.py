@@ -15,10 +15,11 @@ Kernels:
     boxes a numpy scalar. Each step is the IEEE double arithmetic, with
     libm's pow, of the numpy-scalar loop it replaced, so its bytes are that
     loop's, which the tests keep as its oracle;
-  * exact sup of |A - B| for two piecewise-linear paths. The difference is
-    linear between consecutive knots of either path, so its sup is attained
-    at a knot of A, a knot of B or the right end. Each path is read at the
-    other's knots with the arithmetic of pl_eval_many, with no union grid.
+  * exact sup of |A - B| for two piecewise-linear paths: the difference is
+    linear between the knots of both, so its sup is at a knot or the right
+    end. Each path is read at the other's knots with pl_eval_many's
+    arithmetic, with no union grid; a dense path's, in blocks of whole
+    intervals of the coarse one, so the temporaries stay cache-sized.
 """
 
 from __future__ import annotations
@@ -184,6 +185,10 @@ def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.
     return np.where(last, knots_y[-1], val)
 
 
+#: Most query times per block of the sup's many-on-few route.
+SUP_BLOCK = 16384
+
+
 def _max_abs_diff_at(q, y, kt, ky):
     # max over i of |y[i] - P(q[i])|, P the piecewise-linear path (kt, ky),
     # for ascending q >= kt[0]; 0.0 when q is empty. Each P(q[i]) is the float
@@ -192,24 +197,28 @@ def _max_abs_diff_at(q, y, kt, ky):
     if m <= kt.shape[0]:
         return np.abs(y - pl_eval_many(kt, ky, q)).max(initial=0.0)
     # Many times on few knots (the reference's knots read in a ladder path):
-    # place the knots among the times and spread each interval's values over
-    # its times, which halves the time of m searches. Times at or past the
-    # last knot read ky[-1].
+    # place the knots among the times, which halves the time of m searches,
+    # and spread each interval's values over its times in blocks of whole
+    # intervals, at most SUP_BLOCK times unless one interval holds more, so the
+    # temporaries stay in L2; full-length ones, freed to the OS, fault in fresh
+    # pages on every call. Times at or past the last knot read ky[-1].
     best = np.max(np.abs(y[m:] - ky[-1]), initial=0.0)
-    q = q[:m]
-    counts = np.diff(np.searchsorted(q, kt[1:-1], side="left"), prepend=0, append=m)
-    t0 = np.repeat(kt[:-1], counts)
-    y0 = np.repeat(ky[:-1], counts)
-    dt = np.repeat(np.diff(kt), counts)
-    dy = np.repeat(np.diff(ky), counts)
-    # y0 + (q - t0) / dt * dy, in place in one buffer: a fresh temporary per
-    # operation makes this route ~25% slower
-    d = q - t0
-    d /= dt
-    d *= dy
-    d += y0
-    d -= y[:m]
-    return np.abs(d, out=d).max(initial=best)
+    edges = np.searchsorted(q, kt, side="left")
+    dt, dy = np.diff(kt), np.diff(ky)
+    i = 0
+    while i < kt.shape[0] - 1:
+        j = max(int(np.searchsorted(edges, edges[i] + SUP_BLOCK, side="right")) - 1, i + 1)
+        counts, lo, hi = np.diff(edges[i : j + 1]), edges[i], edges[j]
+        # y0 + (q - t0) / dt * dy, in place in one buffer: a fresh temporary
+        # per operation makes this route ~25% slower
+        d = q[lo:hi] - np.repeat(kt[i:j], counts)
+        d /= np.repeat(dt[i:j], counts)
+        d *= np.repeat(dy[i:j], counts)
+        d += np.repeat(ky[i:j], counts)
+        d -= y[lo:hi]
+        best = np.abs(d, out=d).max(initial=best)
+        i = j
+    return best
 
 
 def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:

@@ -129,10 +129,13 @@ def pl_sup_merge(ta, ya, tb, yb, t_hi):
     """Sup of |A - B| by a merge walk over the knots of both paths in order.
 
     Exact over ({ta} u {tb} intersect [0, t_hi]) u {t_hi}, for piecewise-linear
-    A = (ta, ya), B = (tb, yb) with ta[-1], tb[-1] >= t_hi.
+    A = (ta, ya), B = (tb, yb) with ta[-1], tb[-1] >= t_hi. The walk reads
+    the knots as Python floats, whose arithmetic is numpy float64's, bit for
+    bit, and several times faster to index.
     """
-    na = ta.shape[0]
-    nb = tb.shape[0]
+    ta, ya, tb, yb = (np.asarray(v, dtype=np.float64).tolist() for v in (ta, ya, tb, yb))
+    na = len(ta)
+    nb = len(tb)
     ia = 0
     ib = 0
     pa = 0

@@ -2,15 +2,18 @@
 
 The sup reads each path at the other's knots; it contains no transcendentals
 and must agree bit for bit with the merge-walk oracle and the union-grid
-oracle (tests/oracles.py). The clock's windowed Picard sweep must agree bit
-for bit, and in (k, status), with the interpreted loop _kernels._clock_seq,
-for every kind: at window edges, on exhaustion and on a bounds breach
-anywhere in a window. The Euler-Maruyama loop on Python floats must write the
-bytes of the numpy-scalar loop it replaced (oracles.em_values_seq), and
-SCALAR_OPS' two-argument min and max must return what the builtins return.
+oracle (tests/oracles.py), at every block size of its many-on-few route and
+on every sup a smooth-sin or time-smooth sample takes. The clock's windowed
+Picard sweep must agree bit for bit, and in (k, status), with the interpreted
+loop _kernels._clock_seq, for every kind: at window edges, on exhaustion and
+on a bounds breach anywhere in a window. The Euler-Maruyama loop on Python
+floats must write the bytes of the numpy-scalar loop it replaced
+(oracles.em_values_seq), and SCALAR_OPS' two-argument min and max must return
+what the builtins return.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from strategies import INSIDE
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
+from tcsde.experiment import ExperimentConfig, strong_error_one_sample
 from tcsde.timechange import required_horizon
 
 SEED = 20260808
@@ -303,12 +307,27 @@ def test_two_argument_min_max_are_the_builtins(u, v, numpy_scalar):
         assert repr(got) == repr(want) and got is want, (u, v, builtin)
 
 
-def _sups(ta, ya, tb, yb, t_hi):
+#: block sizes of the sup's many-on-few route: blocks that split the times
+#: of one interval or end between intervals, and the one the package runs
+BLOCKS = [1, 2, 3, 7, _kernels.SUP_BLOCK]
+
+
+def _sups(ta, ya, tb, yb, t_hi, block=_kernels.SUP_BLOCK):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "SUP_BLOCK", block)
+        got = _kernels.pl_sup_abs_diff(ta, ya, tb, yb, t_hi)
     return (
         oracles.pl_sup_merge(ta, ya, tb, yb, t_hi),
-        _kernels.pl_sup_abs_diff(ta, ya, tb, yb, t_hi),
+        got,
         oracles.pl_sup_union(ta, ya, tb, yb, t_hi),
     )
+
+
+def _both_ways(coarse, fine, t_hi, block):
+    """Assert both argument orders agree bit for bit with both oracles."""
+    for pair in (coarse + fine, fine + coarse):
+        a, b, c = _sups(*pair, t_hi, block)
+        assert a == b == c
 
 
 _steps = st.lists(st.floats(1e-3, 1.0), max_size=30)
@@ -400,25 +419,106 @@ class TestSupLanes:
                 t_coarse, y_coarse = _random_pl(rng, rng.integers(1, 8), scale=3.0)
                 t_coarse *= 0.7 * t_fine[-1] / t_coarse[-1]
                 t_hi = float(t_fine[-1])
-            for pair in ((t_coarse, y_coarse, t_fine, y_fine), (t_fine, y_fine, t_coarse, y_coarse)):
-                a, b, c = _sups(*pair, t_hi)
-                assert a == b == c
+            for block in BLOCKS:
+                _both_ways((t_coarse, y_coarse), (t_fine, y_fine), t_hi, block)
 
     @settings(max_examples=300, deadline=None)
-    @given(_path_pairs())
-    @example(_ONE + _THREE + (0.5,))
-    @example(_THREE + _ONE + (0.5,))
-    @example(_ONE + _THREE + (2.0,))
-    @example(_THREE + _ONE + (0.0,))
-    @example(_ONE + (_ONE[0], -_ONE[1]) + (0.0,))
-    def test_two_sided_sup_property(self, pair):
+    @given(_path_pairs(), st.sampled_from(BLOCKS))
+    @example(_ONE + _THREE + (0.5,), 1)
+    @example(_THREE + _ONE + (0.5,), 1)
+    @example(_ONE + _THREE + (2.0,), 1)
+    @example(_THREE + _ONE + (0.0,), 1)
+    @example(_ONE + (_ONE[0], -_ONE[1]) + (0.0,), 1)
+    def test_two_sided_sup_property(self, pair, block):
         ta, ya, tb, yb, t_hi = pair
-        a, b, c = _sups(ta, ya, tb, yb, t_hi)
+        a, b, c = _sups(ta, ya, tb, yb, t_hi, block)
         assert a == b == c
         grid = np.append(np.union1d(ta[ta <= t_hi], tb[tb <= t_hi]), t_hi)
         assert b == pytest.approx(
             oracles.pl_sup_on_grid(ta, ya, tb, yb, grid), rel=1e-12, abs=1e-9
         )
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_interval_longer_than_block(self, block):
+        # the first coarse interval holds 50 dense times, more than a small
+        # block, so it makes a block of its own; the second holds 5
+        rng = np.random.default_rng(12)
+        t_fine = np.concatenate([np.arange(50) / 50, 1.0 + np.arange(6) / 5])
+        y_fine = rng.normal(0.0, 1.0, t_fine.size)
+        coarse = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, -1.0]))
+        for t_hi in (0.5, 1.0, 1.7, 2.0):
+            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_empty_intervals(self, block):
+        # coarse knots between two dense knots leave intervals that hold no
+        # dense time: one alone, a run of two, and the last two
+        rng = np.random.default_rng(13)
+        t_fine = np.arange(41) / 40
+        y_fine = np.cumsum(rng.normal(0.0, 1.0, 41))
+        t_coarse = np.array([0.0, 0.001, 0.002, 0.301, 0.302, 0.303, 0.5, 0.999, 0.9995, 1.0])
+        coarse = (t_coarse, rng.normal(0.0, 3.0, t_coarse.size))
+        for t_hi in (0.0015, 0.3025, 0.4, 0.9997, 1.0):
+            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_t_hi_around_last_whole_interval(self, block):
+        # aligned grids, as a ladder path's clock against the reference's:
+        # the coarse knots are every 8th dense knot and stop at 1.0, before
+        # the dense path does. t_hi lies inside the last whole coarse
+        # interval (between dense knots and at one), at its end, and past it
+        rng = np.random.default_rng(14)
+        t_fine = np.arange(81) / 64
+        y_fine = np.cumsum(rng.normal(0.0, 1.0, 81))
+        coarse = (t_fine[:65:8], y_fine[:65:8] + rng.normal(0.0, 0.5, 9))
+        for t_hi in (0.9, 61 / 64, 0.99, 1.0, 1.1, 1.25):
+            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+
+    def test_working_set_does_not_grow_with_reference(self):
+        # a 16-knot path against a reference of 2^18 knots: the reference's
+        # times are read a block at a time, so no temporary is full-length
+        rng = np.random.default_rng(15)
+        n_ref = 2**18
+        t_ref = np.arange(n_ref + 1) / n_ref
+        y_ref = np.cumsum(rng.normal(0.0, n_ref**-0.5, n_ref + 1))
+        t_c, y_c = t_ref[:: n_ref // 16], y_ref[:: n_ref // 16] + rng.normal(0.0, 0.1, 17)
+        tracemalloc.start()
+        try:
+            got = _kernels.pl_sup_abs_diff(t_c, y_c, t_ref, y_ref, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _kernels.SUP_BLOCK * 8
+        assert got == oracles.pl_sup_union(t_c, y_c, t_ref, y_ref, 1.0)
+
+    @pytest.mark.parametrize("name", ["smooth-sin", "time-smooth"])
+    def test_experiment_sups_match_merge_walk(self, name, monkeypatch):
+        # every sup a time-change sample takes (errors, inverse clock and
+        # clock, per level) on the perfbench ladder, against the merge walk
+        config = ExperimentConfig(
+            coefficient=name,
+            params=(2.0, 1.0),
+            sde_horizon=1.0,
+            x0=0.0,
+            resolutions=tuple(2**k for k in range(4, 11)),
+            ref_resolution=2**14,
+            p=2.0,
+            samples=3,
+            master_seed=SEED,
+        )
+        sup = _kernels.pl_sup_abs_diff
+        calls = []
+
+        def recorded(*args):
+            calls.append((args, sup(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_kernels, "pl_sup_abs_diff", recorded)
+        for i in range(config.samples):
+            strong_error_one_sample(config, i)
+        assert len(calls) == 3 * len(config.resolutions) * config.samples
+        for args, got in calls:
+            assert got == oracles.pl_sup_merge(*args)
 
     def test_sup_attained_at_knot(self):
         ta = np.array([0.0, 1.0])
