@@ -28,7 +28,9 @@ _U53 = 2.0**-53
 def _raw_uniforms(master_seed: int, sample_index: int, purpose: int, count: int) -> np.ndarray:
     if master_seed < 0 or sample_index < 0:
         raise ValueError("master_seed and sample_index must be non-negative")
-    gen = Philox(counter=[0, 0, 0, purpose], key=[master_seed, sample_index])
+    # a list holding a word >= 2^63 would go through float64 and lose bits
+    key = np.array([master_seed, sample_index], dtype=np.uint64)
+    gen = Philox(counter=[0, 0, 0, purpose], key=key)
     raw = gen.random_raw(count)
     # top 53 bits, centered: uniforms on the open interval (0, 1), so the
     # inverse-CDF transform below never produces an infinity

@@ -44,6 +44,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+#: {option: config key} for the options that override a config key; an
+#: option the subcommand does not take reads as not given
+OVERRIDES = {"seed": "master_seed", "samples": "samples", "resolutions": "resolutions"}
+
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse flat ``key = value`` lines into strings; '#' starts a comment."""
@@ -72,14 +76,11 @@ def parse_config_file(path: str | Path) -> dict:
     return mapping
 
 
-def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
-    mapping = parse_config_file(path)
-    if overrides.seed is not None:
-        mapping["master_seed"] = overrides.seed
-    if overrides.samples is not None:
-        mapping["samples"] = overrides.samples
-    if getattr(overrides, "resolutions", None) is not None:
-        mapping["resolutions"] = overrides.resolutions
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    mapping = parse_config_file(args.config)
+    for option, key in OVERRIDES.items():
+        if vars(args).get(option) is not None:
+            mapping[key] = vars(args)[option]
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -110,11 +111,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, config: ExperimentConfi
     manifest = {
         "config_path": str(Path(args.config).resolve()),
         "output_dir": str(out.resolve()),
-        "overrides": {
-            "seed": args.seed,
-            "samples": args.samples,
-            "resolutions": getattr(args, "resolutions", None),
-        },
+        "overrides": {option: vars(args).get(option) for option in OVERRIDES},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": f"tcsde {__version__}",
         # numpy's SIMD targets can change the bits of its vector math
@@ -141,8 +138,8 @@ def _print_report(report, coeff) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 0:
         raise ConfigError(f"--jobs: must be >= 0 (0 means all cores), got {args.jobs}")
-    config = _load_config(args.config, args)
-    coeff = config.build_coefficient()
+    config = _load_config(args)
+    coeff = config.validate_for_run()
     out = _prepare_outputs(
         args.out, ["report.json", "report.csv", "manifest.json"], args.force
     )
@@ -167,7 +164,7 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_dump_path(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, args)
+    config = _load_config(args)
     n = args.n
     if n != config.ref_resolution and n not in config.resolutions:
         raise ConfigError(
@@ -193,28 +190,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tcsde {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a rate experiment from a config file")
-    run.add_argument("config", help="path to a flat key = value config file")
-    run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run.add_argument("--samples", type=int, default=None, help="override sample count")
+    # the options both subcommands take
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("config", help="path to a flat key = value config file")
+    shared.add_argument("--seed", type=int, default=None, help="override master_seed")
+    shared.add_argument("--samples", type=int, default=None, help="override sample count")
+    shared.add_argument("--out", default=".", help="output directory (default: .)")
+    shared.add_argument("--force", action="store_true", help="overwrite existing outputs")
+
+    run = sub.add_parser(
+        "run", parents=[shared], help="run a rate experiment from a config file"
+    )
     run.add_argument(
         "--resolutions", default=None, help="override the ladder, comma-separated"
     )
-    run.add_argument("--out", default=".", help="output directory (default: .)")
-    run.add_argument("--force", action="store_true", help="overwrite existing reports")
     run.add_argument(
         "--jobs", type=int, default=0, help="worker processes (default: all cores)"
     )
     run.set_defaults(func=cmd_run)
 
-    dump = sub.add_parser("dump-path", help="dump one seeded sample path as CSV")
-    dump.add_argument("config", help="path to a flat key = value config file")
+    dump = sub.add_parser(
+        "dump-path", parents=[shared], help="dump one seeded sample path as CSV"
+    )
     dump.add_argument("--sample", type=int, required=True, help="sample index")
     dump.add_argument("--n", type=int, required=True, help="resolution (ladder or ref)")
-    dump.add_argument("--seed", type=int, default=None, help="override master_seed")
-    dump.add_argument("--samples", type=int, default=None, help="override sample count")
-    dump.add_argument("--out", default=".", help="output directory (default: .)")
-    dump.add_argument("--force", action="store_true", help="overwrite existing dumps")
     dump.set_defaults(func=cmd_dump_path)
     return parser
 

@@ -174,8 +174,10 @@ class ExperimentConfig:
             )
         return coeff
 
-    def validate_for_run(self) -> None:
-        """Extra requirements enforced before a full experiment run."""
+    def validate_for_run(self) -> DiffusionCoefficient:
+        """The configured coefficient, once every requirement of a full
+        experiment run holds; raises ConfigError before any sample or output
+        otherwise. Only a too-large p is found later, from the errors."""
         if self.samples < 2:
             raise ConfigError(f"samples: a rate run needs >= 2 samples, got {self.samples}")
         if self.ref_resolution < 4 * max(self.resolutions):
@@ -191,6 +193,7 @@ class ExperimentConfig:
                 "convergence target is available for rougher coefficients, so a "
                 "self-convergence slope would not measure a limit object"
             )
+        return coeff
 
     def to_mapping(self) -> dict:
         mapping = {key: getattr(self, name) for key, name, _ in _KEYS}
@@ -215,10 +218,9 @@ class SampleResult:
     For the time-change scheme the inverse-clock and clock discrepancies
     against the reference are recorded as well: the first must be bounded by
     C2^2 times the second (checked by the acceptance suite on every sample).
+    Entry i belongs to config.resolutions[i]; results travel in index order.
     """
 
-    sample_index: int
-    resolutions: tuple[int, ...]
     sup_errors: np.ndarray
     inverse_clock_sup: Optional[np.ndarray] = None
     clock_sup: Optional[np.ndarray] = None
@@ -237,9 +239,11 @@ def sample_paths(
     """The reference and every ladder path of one sample, keyed by resolution.
 
     All of them run on subsamples of one seeded driver at ref_resolution, so
-    they share a single Brownian realization. A time-change driver that runs
-    out of knots before every clock reaches T is extended and all clocks are
-    rebuilt; extension keeps the driver's prefix, so no path changes.
+    they share a single Brownian realization. Each scheme draws on its own
+    Philox purpose; Euler-Maruyama reads only the driver's increments, so its
+    driver starts at 0. A time-change driver that runs out of knots before
+    every clock reaches T is extended and all clocks are rebuilt; extension
+    keeps the driver's prefix, so no path changes.
     """
     if not 0 <= sample_index < config.samples:
         raise ConfigError(
@@ -250,27 +254,16 @@ def sample_paths(
     ref = config.ref_resolution
     resolutions = (ref,) + config.resolutions
     horizon = _driver_horizon(config, coeff, config.scheme)
-    if config.scheme == SCHEME_EULER_MARUYAMA:
-        fine = generate_path(
-            ref,
-            horizon,
-            0.0,
-            config.master_seed,
-            sample_index,
-            purpose=PURPOSE_EULER_MARUYAMA,
-        )
+    em = config.scheme == SCHEME_EULER_MARUYAMA
+    purpose = PURPOSE_EULER_MARUYAMA if em else PURPOSE_TIME_CHANGE
+    fine = generate_path(
+        ref, horizon, 0.0 if em else config.x0, config.master_seed, sample_index, purpose
+    )
+    if em:
         return {
             n: em_simulate(coeff, fine.subsample(ref // n), t_end, config.x0)
             for n in resolutions
         }
-    fine = generate_path(
-        ref,
-        horizon,
-        config.x0,
-        config.master_seed,
-        sample_index,
-        purpose=PURPOSE_TIME_CHANGE,
-    )
     while True:
         try:
             paths = {}
@@ -306,22 +299,13 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
         inv_sup[i] = _kernels.pl_sup_abs_diff(path.t, s, ref.t, ref_s, config.sde_horizon)
         s_hi = min(s[-1], ref_s[-1], s_cap)
         clk_sup[i] = _kernels.pl_sup_abs_diff(s, path.t, ref_s, ref.t, s_hi)
-    return SampleResult(
-        sample_index=sample_index,
-        resolutions=config.resolutions,
-        sup_errors=errors,
-        inverse_clock_sup=inv_sup,
-        clock_sup=clk_sup,
-    )
+    return SampleResult(sup_errors=errors, inverse_clock_sup=inv_sup, clock_sup=clk_sup)
 
 
 def _em_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
     paths = sample_paths(config, coeff, sample_index)
     ref = paths[config.ref_resolution]
-    errors = np.array([_sup(paths[n], ref) for n in config.resolutions])
-    return SampleResult(
-        sample_index=sample_index, resolutions=config.resolutions, sup_errors=errors
-    )
+    return SampleResult(np.array([_sup(paths[n], ref) for n in config.resolutions]))
 
 
 def strong_error_one_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
@@ -441,8 +425,12 @@ class SchemeComparison:
 
 
 def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
-    """Every sample's result in index order; raises at the first failing index."""
+    """Every sample's result in index order; raises at the first failing index.
+
+    At most one worker per sample: a pool forks all its workers at once.
+    """
     indices = range(config.samples)
+    jobs = min(jobs, config.samples)
     if jobs <= 1:
         return [_run_sample(config, i) for i in indices]
     chunk = max(1, config.samples // (jobs * 8))
@@ -473,7 +461,7 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
     """
     if config.scheme == SCHEME_COMPARE:
         raise ConfigError("scheme: run_experiment takes a single scheme; use compare_schemes")
-    config.validate_for_run()
+    coeff = config.validate_for_run()
     jobs = 1 if jobs is None else max(1, int(jobs))
     results = _collect(config, jobs)
 
@@ -497,7 +485,6 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
             "leaves the float64 range"
         )
 
-    coeff = config.build_coefficient()
     usable = lp_mean >= ERROR_FLOOR
     excluded = [int(n) for n, u in zip(config.resolutions, usable) if not u]
     ns_fit = np.asarray(config.resolutions)[usable]

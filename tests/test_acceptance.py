@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from conftest import ACCEPTANCE_RESULTS
+from strategies import CORPUS_PARAMS, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.cli import main, parse_config_file
@@ -27,16 +28,7 @@ from tcsde.experiment import (
 )
 from tcsde.timechange import SamplePath, build_time_change, required_horizon
 
-SEED = 20260808
 REPO = Path(__file__).resolve().parent.parent
-
-CORPUS_PARAMS = {
-    "constant": [2.0],
-    "smooth-sin": [2.0, 1.0],
-    "time-smooth": [2.0, 1.0],
-    "holder-root": [1.0, 1.0, 0.5, 0.0],
-    "step-mollified": [1.0, 2.0, 0.0, 0.5],
-}
 
 
 def _record(num: int, text: str) -> None:

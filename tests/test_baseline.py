@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from strategies import SEED
 from tcsde.baseline import em_simulate
 from tcsde.brownian import BrownianPath, generate_path
 from tcsde.diffusion import builtin_coefficient
 from tcsde.experiment import fit_loglog
 from tcsde.timechange import write_solution_csv
-
-SEED = 20260808
 
 
 def _driver(n, horizon, sample_index):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tcsde import _kernels
@@ -48,6 +50,40 @@ class TestGeneration:
         long = short.extended(3.0)
         assert long.knot_count > short.knot_count
         np.testing.assert_array_equal(long.values[: short.knot_count], short.values)
+
+    def test_key_words_keep_every_bit(self):
+        # a key word at or above 2^63 must not pass through float64, where a
+        # seed near 2^64 rounds to key 0 and 2^63 + 1 rounds to 2^63
+        top = 2**64 - 1
+        for a, b in [((top, 0), (0, 0)), ((2**63 + 1, 0), (2**63, 0)),
+                     ((0, top), (0, 0)), ((0, 2**63 + 1), (0, 2**63))]:
+            pa = generate_path(16, 1.0, 0.0, *a)
+            pb = generate_path(16, 1.0, 0.0, *b)
+            assert not np.array_equal(pa.values, pb.values), (a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        factor=st.sampled_from([1, 2, 4, 8]),
+        coarse_n=st.integers(1, 16),
+        horizons=st.tuples(st.floats(1e-3, 20.0), st.floats(1e-3, 20.0)).map(sorted),
+        x0=st.floats(allow_nan=False, allow_infinity=False),
+        master_seed=st.integers(0, 2**64 - 1),
+        sample_index=st.integers(0, 2**64 - 1),
+        purpose=st.sampled_from([0, 1]),
+    )
+    def test_longer_path_starts_with_shorter_property(
+        self, factor, coarse_n, horizons, x0, master_seed, sample_index, purpose
+    ):
+        # a driver grows in place only if every knot already read keeps its
+        # bits, at the generated resolution and in every subsample of it
+        lo, hi = horizons
+        n = factor * coarse_n
+        short = generate_path(n, lo, x0, master_seed, sample_index, purpose)
+        long = generate_path(n, hi, x0, master_seed, sample_index, purpose)
+        assert short.extended(hi).values.tobytes() == long.values.tobytes()
+        for a, b in ((short, long), (short.subsample(factor), long.subsample(factor))):
+            assert b.knot_count >= a.knot_count
+            assert b.values[: a.knot_count].tobytes() == a.values.tobytes()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -212,6 +212,23 @@ class TestCmdRun:
         assert "config error: --jobs: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "values,field",
+        [
+            ({"samples": "1"}, "samples"),
+            ({"ref_resolution": "128"}, "ref_resolution"),
+            ({"coefficient": "holder-root", "params": "1.0, 1.0, 0.3, 0.0",
+              "scheme": "euler-maruyama"}, "scheme"),
+        ],
+    )
+    def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, values, field):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(**values))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+
     def test_out_naming_a_file_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("not a directory\n")

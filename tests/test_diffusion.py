@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import check_contract, lying
-from strategies import ANY, INSIDE
+from strategies import ANY, CORPUS_PARAMS, HOLDER_CONST, INSIDE
 from tcsde import _kernels
 from tcsde.diffusion import (
     _CORPUS,
@@ -17,26 +17,6 @@ from tcsde.diffusion import (
     builtin_coefficient,
     corpus_names,
 )
-
-#: representative parameters for every corpus entry, reused across tests
-CORPUS_PARAMS = {
-    "constant": [2.0],
-    "smooth-sin": [2.0, 1.0],
-    "time-smooth": [2.0, 1.0],
-    "holder-root": [1.0, 1.0, 0.5, 0.0],
-    "step-mollified": [1.0, 2.0, 0.0, 0.5],
-}
-
-#: the spatial Hoelder constant of each CORPUS_PARAMS entry at its exponent,
-#: read off the formula: b for the sines, 1 for the root, |hi - lo| / width
-#: for the ramp
-HOLDER_CONST = {
-    "constant": 0.0,
-    "smooth-sin": 1.0,
-    "time-smooth": 1.0,
-    "holder-root": 1.0,
-    "step-mollified": 2.0,
-}
 
 
 class TestCorpusValues:
@@ -188,6 +168,12 @@ class TestCorpusValidation:
         names = corpus_names()
         assert names == sorted(names)
         assert set(CORPUS_PARAMS) == set(names)
+
+    def test_shared_tables_cover_the_corpus(self):
+        # a kind missing here would silently skip every test that loops
+        # over CORPUS_PARAMS, acceptance criterion 1 and the clock tests too
+        assert sorted(CORPUS_PARAMS) == corpus_names()
+        assert sorted(HOLDER_CONST) == corpus_names()
 
 
 class TestCheckContract:

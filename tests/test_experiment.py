@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import SEED
 from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ConfigError, ExperimentError, TcsdeError
 from tcsde.experiment import (
@@ -21,8 +23,6 @@ from tcsde.experiment import (
     run_experiment,
     strong_error_one_sample,
 )
-
-SEED = 20260808
 
 #: pool tests patch the package in this process; only forked workers see it
 needs_fork = pytest.mark.skipif(
@@ -217,10 +217,13 @@ class TestOneSample:
         assert res.sup_errors[0] > res.sup_errors[-1]
 
     def test_errors_align_with_resolutions(self):
+        # entry i is resolution i's error: it equals a one-level run's
         cfg = _config()
         res = strong_error_one_sample(cfg, 3)
-        assert res.resolutions == cfg.resolutions
         assert res.sup_errors.shape == (3,)
+        for n, err in zip(cfg.resolutions, res.sup_errors):
+            alone = strong_error_one_sample(replace(cfg, resolutions=(n,)), 3)
+            assert alone.sup_errors.tobytes() == np.array([err]).tobytes()
 
     def test_breakpoint_sup_matches_dense_grid_oracle(self):
         # n=16 against a 2^14 reference: sup over a 1e5-point grid refined by
@@ -429,8 +432,6 @@ class TestRunExperiment:
 
         def synthetic(config, coeff, sample_index):
             return exp.SampleResult(
-                sample_index=sample_index,
-                resolutions=config.resolutions,
                 sup_errors=sup_errors,
                 inverse_clock_sup=np.zeros(3),
                 clock_sup=np.zeros(3),
@@ -487,7 +488,10 @@ class TestRunExperiment:
         # index order is the one reported
         import tcsde.experiment as exp
 
-        assert exp._run_sample(_config(samples=4), 2).sample_index == 2
+        cfg = _config(samples=4)
+        got, want = exp._run_sample(cfg, 2), strong_error_one_sample(cfg, 2)
+        for name in ("sup_errors", "inverse_clock_sup", "clock_sup"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         original = exp._tc_sample
 
         def boom(config, coeff, sample_index):
@@ -501,6 +505,32 @@ class TestRunExperiment:
         assert err.value.sample_index == 3
         assert err.value.module == "experiment"
         assert "synthetic failure 3" in str(err.value)
+
+    def test_pool_has_at_most_one_worker_per_sample(self, monkeypatch):
+        # a pool forks all its workers at once, so --jobs far above the
+        # sample count must not reach it; the pool here maps serially
+        import tcsde.experiment as exp
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", SerialPool)
+        cfg = _config(samples=3)
+        pooled = run_experiment(cfg, jobs=64)
+        assert workers == [3]
+        assert pooled == run_experiment(cfg, jobs=1)
 
     def test_failure_reports_sample_index(self, monkeypatch):
         import tcsde.experiment as exp

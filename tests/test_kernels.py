@@ -21,14 +21,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import INSIDE
+from strategies import INSIDE, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
 from tcsde.experiment import ExperimentConfig, strong_error_one_sample
 from tcsde.timechange import required_horizon
-
-SEED = 20260808
 
 CORPUS_PARAMS = {
     "holder-root": [1.0, 1.0, 0.5, 0.0],

@@ -4,22 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from strategies import CORPUS_PARAMS, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ContractViolationError, PathExhaustedError
 from tcsde.experiment import ExperimentConfig, sample_paths
 from tcsde.timechange import SamplePath, build_time_change, required_horizon
-
-SEED = 20260808
-
-CORPUS_PARAMS = {
-    "constant": [2.0],
-    "smooth-sin": [2.0, 1.0],
-    "time-smooth": [2.0, 1.0],
-    "holder-root": [1.0, 1.0, 0.5, 0.0],
-    "step-mollified": [1.0, 2.0, 0.0, 0.5],
-}
 
 
 def _coeff(name):
