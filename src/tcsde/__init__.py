@@ -16,58 +16,6 @@ run an Euler-Maruyama baseline on the same driver streams for comparison.
 
 __version__ = "0.1.0"
 
-from .baseline import EmPath, em_simulate
-from .brownian import BrownianPath, gaussian_increments, generate_path
-from .diffusion import DiffusionCoefficient, builtin_coefficient, corpus_names
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    ExperimentError,
-    PathExhaustedError,
-    TcsdeError,
-)
-from .experiment import (
-    ExperimentConfig,
-    RateReport,
-    SampleResult,
-    SchemeComparison,
-    compare_schemes,
-    fit_loglog,
-    run_experiment,
-    sample_paths,
-    strong_error_one_sample,
-)
-from .timechange import SamplePath, TimeChangePath, build_time_change
-
 # No numba lane: the kernels are numpy only. perfbench/worker.py::lane() reads
 # this name to stamp the lane, and perfbench/pins.json is keyed by "numpy".
 USING_NUMBA = False
-
-__all__ = [
-    "__version__",
-    "BrownianPath",
-    "ConfigError",
-    "ContractViolationError",
-    "DiffusionCoefficient",
-    "EmPath",
-    "ExperimentConfig",
-    "ExperimentError",
-    "PathExhaustedError",
-    "RateReport",
-    "SamplePath",
-    "SampleResult",
-    "SchemeComparison",
-    "TcsdeError",
-    "TimeChangePath",
-    "builtin_coefficient",
-    "build_time_change",
-    "compare_schemes",
-    "corpus_names",
-    "em_simulate",
-    "fit_loglog",
-    "gaussian_increments",
-    "generate_path",
-    "run_experiment",
-    "sample_paths",
-    "strong_error_one_sample",
-]

@@ -11,7 +11,6 @@ scheme's self-convergence rate, never pathwise differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,32 +19,7 @@ from .brownian import BrownianPath
 from .diffusion import DiffusionCoefficient
 from .timechange import PiecewiseLinearPath
 
-__all__ = ["EmPath", "em_simulate"]
-
-
-@dataclass(frozen=True)
-class EmPath(PiecewiseLinearPath):
-    """Euler-Maruyama iterates y at SDE times t = k/n, k = 0..ceil(n*T).
-
-    The continuous comparison path is their linear interpolation.
-    """
-
-    n: int
-    y: np.ndarray
-    sde_horizon: float
-
-    def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
-
-    @property
-    def knot_count(self) -> int:
-        return len(self.y)
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.knot_count) / self.n
+__all__ = ["em_simulate"]
 
 
 def em_simulate(
@@ -53,8 +27,12 @@ def em_simulate(
     driver: BrownianPath,
     sde_horizon: float,
     x0: float,
-) -> EmPath:
-    """Run the recursion over ceil(n*T) steps of the driver's increments."""
+) -> PiecewiseLinearPath:
+    """Run the recursion over ceil(n*T) steps of the driver's increments.
+
+    The iterates sit at SDE times k/n, k = 0..ceil(n*T); the comparison path
+    is their linear interpolation.
+    """
     if sde_horizon <= 0:
         raise ValueError(f"sde_horizon must be positive, got {sde_horizon}")
     n = driver.n
@@ -66,4 +44,4 @@ def em_simulate(
         )
     increments = np.diff(driver.values[: steps + 1])
     values = _kernels.em_values_kind(sigma.kernel_kind, sigma.kernel_params, increments, n, x0)
-    return EmPath(n=n, y=values, sde_horizon=sde_horizon)
+    return PiecewiseLinearPath(np.arange(len(values)) / n, values, sde_horizon)

@@ -25,23 +25,18 @@ __all__ = ["BrownianPath", "generate_path", "gaussian_increments"]
 _U53 = 2.0**-53
 
 
-def _raw_uniforms(master_seed: int, sample_index: int, purpose: int, count: int) -> np.ndarray:
-    if master_seed < 0 or sample_index < 0:
-        raise ValueError("master_seed and sample_index must be non-negative")
-    # a list holding a word >= 2^63 would go through float64 and lose bits
-    key = np.array([master_seed, sample_index], dtype=np.uint64)
-    gen = Philox(counter=[0, 0, 0, purpose], key=key)
-    raw = gen.random_raw(count)
-    # top 53 bits, centered: uniforms on the open interval (0, 1), so the
-    # inverse-CDF transform below never produces an infinity
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-
-
 def gaussian_increments(
     master_seed: int, sample_index: int, count: int, n: int, purpose: int = 0
 ) -> np.ndarray:
     """First `count` N(0, 1/n) increments of the (master_seed, sample_index) stream."""
-    u = _raw_uniforms(master_seed, sample_index, purpose, count)
+    if master_seed < 0 or sample_index < 0:
+        raise ValueError("master_seed and sample_index must be non-negative")
+    # a list holding a word >= 2^63 would go through float64 and lose bits
+    key = np.array([master_seed, sample_index], dtype=np.uint64)
+    raw = Philox(counter=[0, 0, 0, purpose], key=key).random_raw(count)
+    # top 53 bits, centered: uniforms on the open interval (0, 1), so the
+    # inverse-CDF transform never produces an infinity
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
     return ndtri(u) * np.sqrt(1.0 / n)
 
 

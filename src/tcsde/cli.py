@@ -3,10 +3,11 @@
 Config files are flat ``key = value`` text (see README for the schema and a
 committed example). Reports are written as report.json plus report.csv with
 round-trip float formatting, and manifest.json; existing files are never
-overwritten without --force. JSON is strict: a NaN or infinity is never
+overwritten without --force, and an output name held by a directory or other
+non-file is refused even with it. JSON is strict: a NaN or infinity is never
 written. Exit codes: 0 success, 2 configuration problems (the message names
 the key), 3 runtime failures (a failed sample, a dead worker process, a
-non-finite value in a report).
+non-finite value in a report, an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +31,6 @@ from .experiment import (
     ExperimentConfig,
     blame_sample,
     compare_schemes,
-    default_jobs,
     run_experiment,
     sample_paths,
 )
@@ -55,7 +57,8 @@ def parse_config_file(path: str | Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     mapping: dict = {}
@@ -90,13 +93,23 @@ def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out: cannot create output directory {out}: {exc}") from exc
-    if not force:
-        for name in names:
-            if (out / name).exists():
-                raise ConfigError(
-                    f"output file {out / name} already exists; pass --force to overwrite"
-                )
+    for name in names:
+        path = out / name
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"output {path} exists and is not a regular file")
+        if path.exists() and not force:
+            raise ConfigError(f"output file {path} already exists; pass --force to overwrite")
     return out
+
+
+@contextmanager
+def _output(path: Path):
+    """path opened for writing; an OSError is a runtime error naming it."""
+    try:
+        with path.open("w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise TcsdeError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -104,7 +117,8 @@ def _write_json(path: Path, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise TcsdeError(f"{path}: refusing to write a non-finite value ({exc})") from exc
-    path.write_text(text + "\n")
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def _write_manifest(out: Path, args: argparse.Namespace, config: ExperimentConfig) -> None:
@@ -143,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = _prepare_outputs(
         args.out, ["report.json", "report.csv", "manifest.json"], args.force
     )
-    jobs = args.jobs if args.jobs else default_jobs()
+    jobs = args.jobs or os.cpu_count() or 1
     if config.scheme == SCHEME_COMPARE:
         result = compare_schemes(config, jobs=jobs)
         reports = (result.time_change, result.euler_maruyama)
@@ -159,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
+    with _output(path) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
@@ -175,7 +189,7 @@ def cmd_dump_path(args: argparse.Namespace) -> int:
     sample = blame_sample(args.sample, sample_paths, config, coeff, args.sample)[n]
     name = f"path-{args.sample}-{n}.csv"
     out = _prepare_outputs(args.out, [name], args.force)
-    with (out / name).open("w", newline="") as fh:
+    with _output(out / name) as fh:
         write_solution_csv(sample, fh)
     print(f"wrote {out / name}")
     return EXIT_OK

@@ -15,7 +15,6 @@ worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -533,7 +532,3 @@ def compare_schemes(config: ExperimentConfig, jobs: Optional[int] = None) -> Sch
     tc = run_experiment(replace(config, scheme=SCHEME_TIME_CHANGE), jobs=jobs)
     em = run_experiment(replace(config, scheme=SCHEME_EULER_MARUYAMA), jobs=jobs)
     return SchemeComparison(time_change=tc, euler_maruyama=em)
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

@@ -17,7 +17,7 @@ exact sup-norms.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -91,12 +91,26 @@ def build_time_change(
     return TimeChangePath(n=driver.n, clock=buf[: k + 1].copy())
 
 
+@dataclass(frozen=True)
 class PiecewiseLinearPath:
     """A path in SDE time, linear between its knots (t, y), read on [0, T].
 
-    Subclasses provide the knot arrays ``t`` (increasing, last >= T) and
-    ``y``, and the horizon ``sde_horizon``.
+    The knot times ``t`` increase and the last one is >= T = ``sde_horizon``.
     """
+
+    t: np.ndarray
+    y: np.ndarray
+    sde_horizon: float
+
+    def __post_init__(self):
+        for name in ("t", "y"):
+            knots = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            knots.flags.writeable = False
+            object.__setattr__(self, name, knots)
+
+    @property
+    def knot_count(self) -> int:
+        return len(self.y)
 
     def evaluate_many(self, t: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of the linear interpolant of the knots."""
@@ -121,9 +135,10 @@ class PiecewiseLinearPath:
 class SamplePath(PiecewiseLinearPath):
     """Approximate SDE solution: the driver's knots placed at the clock's values."""
 
+    t: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
     driver: BrownianPath
     time_change: TimeChangePath
-    sde_horizon: float
 
     def __post_init__(self):
         if self.time_change.n != self.driver.n:
@@ -133,14 +148,8 @@ class SamplePath(PiecewiseLinearPath):
             )
         if self.time_change.clock[-1] < self.sde_horizon:
             raise ValueError("clock does not cover the SDE horizon")
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.time_change.clock
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.driver.values[: self.time_change.knot_count]
+        object.__setattr__(self, "t", self.time_change.clock)
+        object.__setattr__(self, "y", self.driver.values[: self.time_change.knot_count])
 
 
 def required_horizon(sigma: DiffusionCoefficient, sde_horizon: float, n: int) -> float:

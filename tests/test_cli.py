@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from tcsde import cli
 from tcsde.cli import main, parse_config_file
 from tcsde.errors import ConfigError
 from tcsde.experiment import ExperimentConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_CONFIG = """\
 # comment line
@@ -78,6 +81,12 @@ class TestConfigParsing:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(bad) in err
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        committed = CONFIGS / "smooth-sin-rate.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + committed.read_bytes())
+        assert parse_config_file(bom) == parse_config_file(committed)
 
 
 class TestCmdRun:
@@ -370,11 +379,8 @@ class TestSubnormalRampUnderEm:
 
 class TestCommittedConfigs:
     def test_examples_parse(self):
-        import pathlib
-
-        here = pathlib.Path(__file__).resolve().parent.parent
         for name in ("smooth-sin-rate.cfg", "holder-root-compare.cfg"):
-            cfg = ExperimentConfig.from_mapping(parse_config_file(here / "configs" / name))
+            cfg = ExperimentConfig.from_mapping(parse_config_file(CONFIGS / name))
             cfg.validate_for_run()
 
 
@@ -453,6 +459,39 @@ class TestRefusedBeforeAnySample:
         ExperimentConfig.from_mapping({**mapping, "T": half}).build_coefficient()
         with pytest.raises(ConfigError, match="^T: "):
             ExperimentConfig.from_mapping({**mapping, "T": 4 * half}).build_coefficient()
+
+
+class TestOutputs:
+    """An output name the command cannot write is refused or reported by
+    name, never a traceback."""
+
+    @pytest.mark.parametrize("command,name", [(0, "report.json"), (1, "path-0-16.csv")],
+                             ids=["run", "dump-path"])
+    def test_directory_refused_even_with_force(self, config_file, tmp_path, capsys,
+                                               monkeypatch, command, name):
+        import tcsde.experiment as exp
+
+        def refuse(*args):
+            raise AssertionError("a run sample ran")
+
+        monkeypatch.setattr(exp, "_run_sample", refuse)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main(_run_and_dump(config_file, out)[command] + ["--force"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output {out / name} exists and is not a regular file\n"
+
+    @pytest.mark.parametrize("command,name", [(0, "report.json"), (1, "path-0-16.csv")],
+                             ids=["run", "dump-path"])
+    def test_unwritable_output_is_a_runtime_error(self, config_file, tmp_path, capsys,
+                                                  command, name):
+        # a link into a missing directory passes the checks but cannot be opened
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).symlink_to(tmp_path / "missing" / name)
+        assert main(_run_and_dump(config_file, out)[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: cannot write {out / name}: ")
 
 
 class TestSampleFailures:
