@@ -7,9 +7,12 @@ Python floats and the vectorized routes on arrays, with libm's pow in both.
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
     on the uniform Brownian grid, stopping at the first knot >= target time.
-    Every kind runs one windowed Picard sweep of cumsum passes, each resumed
-    from the last exact knot, so the result is bit identical to the
-    interpreted loop _clock_seq, which the tests keep as its oracle;
+    Two routes give the same bytes. A Picard sweep runs cumsum passes over a
+    window that slides with the last exact knot, resuming from it. A
+    time-dependent sigma at a resolution below CLOCK_LOOP_BELOW runs the
+    recursion as a loop over Python floats instead, where the sweep's
+    start-up passes cost more than the loop. Both add in the order of the
+    numpy-scalar loop they replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
     reads the increments and the knot times k/n once as lists, so no step
     boxes a numpy scalar. Each step is the IEEE double arithmetic, with
@@ -76,80 +79,117 @@ def sigma_of(kind, p, ops):
 
 
 def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
-    # Euler recursion clock[k+1] = clock[k] + inv_n / sigma(clock[k], driver[k])^2,
-    # stopping at the first knot with clock >= t_end. Returns (buffer, k, status)
-    # where on OK the knots 0..k are valid; on BOUNDS_BREACH k is the bad step.
+    # Euler recursion clock[k+1] = clock[k] + inv_n / sigma(clock[k], driver[k])^2
+    # on Python floats, stopping at the first knot with clock >= t_end. Returns
+    # (knots, k, status): on OK the knots 0..k; on BOUNDS_BREACH k is the bad
+    # step. A zero sigma^2 is an infinite step, as numpy's division gives it.
     sigma = sigma_of(kind, p, SCALAR_OPS)
-    m = driver.shape[0]
-    clock = np.empty(m, dtype=np.float64)
-    clock[0] = 0.0
-    for k in range(m - 1):
-        s = sigma(clock[k], driver[k])
-        if s < lo - tol or s > hi + tol:
-            return clock, k, BOUNDS_BREACH
-        clock[k + 1] = clock[k] + inv_n / (s * s)
-        if clock[k + 1] >= t_end:
-            return clock, k + 1, OK
-    return clock, m - 1, EXHAUSTED
+    lo, hi = lo - tol, hi + tol
+    c = 0.0
+    clock = [c]
+    append = clock.append
+    status = EXHAUSTED
+    for x in driver[:-1].tolist():
+        s = sigma(c, x)
+        if s < lo or s > hi:
+            status = BOUNDS_BREACH
+            break
+        try:
+            c = c + inv_n / (s * s)
+        except ZeroDivisionError:
+            c = c + math.inf
+        append(c)
+        if c >= t_end:
+            status = OK
+            break
+    return np.array(clock, dtype=np.float64), len(clock) - 1, status
 
 
-#: Knots per window of the clock's Picard sweep.
-CLOCK_WINDOW = 2048
+#: Knots per pass of the clock's Picard sweep.
+CLOCK_WINDOW = 4096
+#: A time-dependent clock at a resolution n below this runs the loop.
+CLOCK_LOOP_BELOW = 2048
 
 
-def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
-    """Clock recursion for a builtin coefficient; returns (buffer, k, status).
-
-    The Euler clock c[k+1] = c[k] + inv_n / sigma(c[k], driver[k])^2 is the
-    fixed point of c = cumsum(inv_n / sigma(c, driver)^2), swept window by
-    window. A pass over a window [j, e] starts at its last exact knot j and
-    accumulates from c[j] in the loop's order, so every knot up to and
-    including the first one the pass changed is exact. Bounds and t_end are
-    checked on that exact prefix only, and the pass restarts from it; each
-    pass adds an exact knot, so the sweep ends. The result is _clock_seq's, bit
-    for bit, with the same (k, status). A time-independent sigma ignores the
-    clock, so its first pass over each window is already the fixed point. The
-    sweep stops in the window where the clock reaches t_end.
-    """
+def _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol):
+    # The Picard sweep of clock_knots_kind; returns (buffer, k, status) with
+    # the knots 0..k valid, as _clock_seq does.
     sigma = sigma_of(kind, p, VECTOR_OPS)
     timed = kind == KIND_TIME_SMOOTH
     last = driver.shape[0] - 1
     clock = np.empty(last + 1, dtype=np.float64)
     clock[0] = 0.0
     ramp = np.arange(1.0, CLOCK_WINDOW)
-    j = 0
+    # knots j+1 .. g hold the last pass's iterate, and knot j is exact
+    j = g = 0
     # sigma^2 can underflow to 0 or overflow past a breach that ends the sweep
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while j < last:
             e = min(j + CLOCK_WINDOW, last)
-            # first guess: the last exact step continued in a straight line
-            step = clock[j] - clock[j - 1] if j else 0.0
-            clock[j + 1 : e] = clock[j] + step * ramp[: e - j - 1]
-            while j < e:
-                s = sigma(clock[j:e], driver[j:e])
-                a = inv_n / (s * s)
-                a[0] += clock[j]
-                np.cumsum(a, out=a)
-                q = e - j - 1
-                if timed:
-                    changed = a != clock[j + 1 : e + 1]
-                    first = int(changed.argmax())
-                    q = first if changed[first] else q
-                # knots j+1 .. j+1+q are exact, and so are s[0 .. q]
-                clock[j + 1 : e + 1] = a
-                seen = s[: q + 1]
-                bad = np.flatnonzero((seen < lo - tol) | (seen > hi + tol))
-                b = int(bad[0]) if bad.size else q + 1
-                # knots j+1 .. j+b follow in-bound steps. Steps are >= 0, and a
-                # NaN carries to the last knot, so if it is below t_end, all are.
-                if b and not a[b - 1] < t_end:
-                    done = np.flatnonzero(a[:b] >= t_end)
-                    if done.size:
-                        return clock, j + 1 + int(done[0]), OK
-                if bad.size:
-                    return clock, j + b, BOUNDS_BREACH
-                j += q + 1
+            if g < e:
+                # guess the knots past the last pass: its last step continued
+                # in a straight line
+                step = clock[g] - clock[g - 1] if g else 0.0
+                clock[g + 1 : e] = clock[g] + step * ramp[: e - g - 1]
+                g = e
+            s = sigma(clock[j:e], driver[j:e])
+            a = inv_n / (s * s)
+            a[0] += clock[j]
+            np.cumsum(a, out=a)
+            q = e - j - 1
+            if timed:
+                changed = a != clock[j + 1 : e + 1]
+                first = int(changed.argmax())
+                q = first if changed[first] else q
+            # knots j+1 .. j+1+q are exact, and so are s[0 .. q]
+            clock[j + 1 : e + 1] = a
+            seen = s[: q + 1]
+            bad = np.flatnonzero((seen < lo - tol) | (seen > hi + tol))
+            b = int(bad[0]) if bad.size else q + 1
+            # knots j+1 .. j+b follow in-bound steps. Steps are >= 0, and a
+            # NaN carries to the last knot, so if it is below t_end, all are.
+            if b and not a[b - 1] < t_end:
+                done = np.flatnonzero(a[:b] >= t_end)
+                if done.size:
+                    return clock, j + 1 + int(done[0]), OK
+            if bad.size:
+                return clock, j + b, BOUNDS_BREACH
+            j += q + 1
     return clock, last, EXHAUSTED
+
+
+def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
+    """Clock recursion for a builtin coefficient; returns (buffer, k, status).
+
+    The knots 0..k of buffer are the Euler clock
+    c[k+1] = c[k] + inv_n / sigma(c[k], driver[k])^2 up to the first knot
+    >= t_end (OK), the last knot of the driver (EXHAUSTED), or the first knot
+    whose sigma leaves [lo - tol, hi + tol] (BOUNDS_BREACH, k that knot).
+    Two routes give it, bit for bit and with the same (k, status):
+
+      * _clock_seq, the recursion as a loop over Python floats;
+      * a Picard sweep: c is the fixed point of
+        c = cumsum(inv_n / sigma(c, driver)^2). Each pass covers the
+        CLOCK_WINDOW knots after the last exact knot j and accumulates from
+        c[j] in the loop's order, so every knot up to and including the first
+        one the pass changed is exact. Bounds and t_end are checked on that
+        exact prefix only. The next pass starts from it, and the window
+        slides: knots the last pass reached keep its iterate as their guess,
+        and the knots past it continue its last step. Each pass adds an exact
+        knot, so the sweep ends, in the window where the clock reaches t_end.
+        A time-independent sigma ignores the clock, so each window takes one
+        pass.
+
+    A time-dependent sigma (time-smooth) takes several passes per window:
+    about 6 sigma evaluations per knot at n = 2^14, plus a start-up of
+    one-knot passes that a short clock cannot amortize. So it runs the loop
+    when n < CLOCK_LOOP_BELOW. On 2 vCPUs, median per clock of a
+    2 + sin(x + t) clock with T = 1: n = 1024, loop 0.98-1.38 ms, sweep
+    1.15-1.55 ms; n = 2048, loop 1.93-2.96 ms, sweep 1.66-2.33 ms.
+    """
+    if kind == KIND_TIME_SMOOTH and 1.0 / inv_n < CLOCK_LOOP_BELOW:
+        return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
+    return _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol)
 
 
 def em_values_kind(kind, p, increments, n, x0):

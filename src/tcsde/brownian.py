@@ -26,9 +26,18 @@ _U53 = 2.0**-53
 
 
 def gaussian_increments(
-    master_seed: int, sample_index: int, count: int, n: int, purpose: int = 0
+    master_seed: int,
+    sample_index: int,
+    count: int,
+    n: int,
+    purpose: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """First `count` N(0, 1/n) increments of the (master_seed, sample_index) stream."""
+    """First `count` N(0, 1/n) increments of the (master_seed, sample_index) stream.
+
+    They are written into `out` (float64, length count) when it is given, with
+    no full-length temporary but the raw words.
+    """
     if master_seed < 0 or sample_index < 0:
         raise ValueError("master_seed and sample_index must be non-negative")
     # a list holding a word >= 2^63 would go through float64 and lose bits
@@ -36,8 +45,12 @@ def gaussian_increments(
     raw = Philox(counter=[0, 0, 0, purpose], key=key).random_raw(count)
     # top 53 bits, centered: uniforms on the open interval (0, 1), so the
     # inverse-CDF transform never produces an infinity
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-    return ndtri(u) * np.sqrt(1.0 / n)
+    raw >>= np.uint64(11)
+    u = np.add(raw, 0.5, out=out)
+    u *= _U53
+    ndtri(u, out=u)
+    u *= np.sqrt(1.0 / n)
+    return u
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,8 @@ def generate_path(
     values = np.empty(count + 1, dtype=np.float64)
     values[0] = x0
     if count:
-        incr = gaussian_increments(master_seed, sample_index, count, n, purpose)
+        incr = gaussian_increments(master_seed, sample_index, count, n, purpose,
+                                   out=values[1:])
         np.cumsum(incr, out=values[1:])
         values[1:] += x0
     return BrownianPath(

@@ -186,9 +186,9 @@ def cmd_dump_path(args: argparse.Namespace) -> int:
             f"nor the reference resolution {config.ref_resolution}"
         )
     coeff = config.build_coefficient()
-    sample = blame_sample(args.sample, sample_paths, config, coeff, args.sample)[n]
     name = f"path-{args.sample}-{n}.csv"
     out = _prepare_outputs(args.out, [name], args.force)
+    sample = blame_sample(args.sample, sample_paths, config, coeff, args.sample)[n]
     with _output(out / name) as fh:
         write_solution_csv(sample, fh)
     print(f"wrote {out / name}")

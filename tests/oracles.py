@@ -7,8 +7,9 @@ exceptions read through the package: pl_sup_union reads paths with its
 pl_eval_many so that its grid route can be compared bit for bit,
 check_contract samples a coefficient with its sigma_of over VECTOR_OPS, the
 formula the kernels run, against the Hoelder constant the test gives it, and
-em_values_seq, the numpy-scalar Euler-Maruyama loop em_values_kind replaced,
-runs sigma_of over its own ops, with the builtin min and max. lying fakes a
+the numpy-scalar loops the package replaced by loops over Python floats,
+clock_seq (the clock) and em_values_seq (Euler-Maruyama), run sigma_of over
+their own ops, with the builtin min and max. lying fakes a
 coefficient whose bounds lie, which the package cannot build.
 digests_with_avx512_on_and_off runs a script twice, to check that its output
 does not depend on numpy's SIMD dispatch.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tcsde._kernels import VECTOR_OPS, pl_eval_many, sigma_of
+from tcsde._kernels import (BOUNDS_BREACH, EXHAUSTED, OK, VECTOR_OPS, pl_eval_many,
+                            sigma_of)
 from tcsde.errors import ContractViolationError
 
 #: guard against division by a vanishing clock step; impossible while the
@@ -89,6 +91,26 @@ def em_recursion(driver_values, n, sigma, t_end, x0):
 #: (sin, pow, min, max) with the builtin min and max, which the package's
 #: SCALAR_OPS replaced by two-argument functions
 BUILTIN_SCALAR_OPS = (math.sin, math.pow, min, max)
+
+
+def clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
+    """The clock's Euler recursion over numpy float64 scalars, as the package
+    ran it before _kernels._clock_seq moved to Python floats; its bytes are
+    the reference. Returns (buffer, k, status), as clock_knots_kind does.
+    Numpy scalars warn on a zero or overflowing sigma^2, so callers that
+    compare such a clock run it under np.errstate."""
+    sigma = sigma_of(kind, p, BUILTIN_SCALAR_OPS)
+    m = driver.shape[0]
+    clock = np.empty(m, dtype=np.float64)
+    clock[0] = 0.0
+    for k in range(m - 1):
+        s = sigma(clock[k], driver[k])
+        if s < lo - tol or s > hi + tol:
+            return clock, k, BOUNDS_BREACH
+        clock[k + 1] = clock[k] + inv_n / (s * s)
+        if clock[k + 1] >= t_end:
+            return clock, k + 1, OK
+    return clock, m - 1, EXHAUSTED
 
 
 def em_values_seq(kind, p, increments, n, x0):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 import oracles
 from tcsde import _kernels
@@ -84,6 +88,27 @@ class TestGeneration:
         for a, b in ((short, long), (short.subsample(factor), long.subsample(factor))):
             assert b.knot_count >= a.knot_count
             assert b.values[: a.knot_count].tobytes() == a.values.tobytes()
+
+    @pytest.mark.parametrize("seed,index,x0", [(0, 0, 0.0), (7, 3, -1.5), (2**64 - 1, 9, 1e300),
+                                               (20260808, 2**63, -0.0)])
+    def test_drawn_in_place_with_the_out_of_place_bytes(self, seed, index, x0):
+        # the driver is written into its values array: the same bytes as the
+        # transform with a temporary per step, and no full-length float
+        # temporary beside the raw words (16 bytes a knot; 32 out of place)
+        n, horizon = 1024, 40.0
+        count = int(n * horizon)
+        key = np.array([seed, index], dtype=np.uint64)
+        raw = Philox(counter=[0, 0, 0, 1], key=key).random_raw(count)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        want = np.concatenate([[x0], np.cumsum(ndtri(u) * np.sqrt(1.0 / n)) + x0])
+        tracemalloc.start()
+        try:
+            got = generate_path(n, horizon, x0, seed, index, purpose=1).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 20 * count
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

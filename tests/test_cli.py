@@ -483,6 +483,26 @@ class TestOutputs:
 
     @pytest.mark.parametrize("command,name", [(0, "report.json"), (1, "path-0-16.csv")],
                              ids=["run", "dump-path"])
+    def test_existing_output_refused_before_any_sample(self, config_file, tmp_path, capsys,
+                                                       monkeypatch, command, name):
+        # a sample that ran would fail (exit 3); the refusal comes first (exit 2)
+        import tcsde.brownian as brownian
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a driver was drawn")
+
+        monkeypatch.setattr(brownian, "gaussian_increments", drawn)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_text("kept\n")
+        assert main(_run_and_dump(config_file, out)[command]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: output file {out / name} already exists; "
+                       "pass --force to overwrite\n")
+        assert (out / name).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command,name", [(0, "report.json"), (1, "path-0-16.csv")],
+                             ids=["run", "dump-path"])
     def test_unwritable_output_is_a_runtime_error(self, config_file, tmp_path, capsys,
                                                   command, name):
         # a link into a missing directory passes the checks but cannot be opened

@@ -3,10 +3,12 @@
 The sup reads each path at the other's knots; it contains no transcendentals
 and must agree bit for bit with the merge-walk oracle and the union-grid
 oracle (tests/oracles.py), at every block size of its many-on-few route and
-on every sup a smooth-sin or time-smooth sample takes. The clock's windowed
-Picard sweep must agree bit for bit, and in (k, status), with the interpreted
-loop _kernels._clock_seq, for every kind: at window edges, on exhaustion and
-on a bounds breach anywhere in a window. The Euler-Maruyama loop on Python
+on every sup a smooth-sin or time-smooth sample takes. Both routes of the
+clock, the loop on Python floats and the sliding Picard sweep (at every
+window size in WINDOWS), must agree bit for bit, and in (k, status), with the
+numpy-scalar loop the package ran before (oracles.clock_seq), for every kind:
+at window edges, on exhaustion and on a bounds breach anywhere in a window.
+The Euler-Maruyama loop on Python
 floats must write the bytes of the numpy-scalar loop it replaced
 (oracles.em_values_seq), and SCALAR_OPS' two-argument min and max must return
 what the builtins return.
@@ -51,20 +53,41 @@ CLOCK_CASES = [
 ]
 
 W = _kernels.CLOCK_WINDOW
+#: knots per pass of the clock's sweep: passes of one, two and three knots,
+#: short odd and even ones, and the one the package runs
+WINDOWS = [1, 2, 3, 7, 64, W]
+#: the routes that must give oracles.clock_seq's clock
+CLOCK_ROUTES = (_kernels._clock_seq, _kernels._clock_sweep, _kernels.clock_knots_kind)
 
 
-def _both_clocks(kind, p, driver, inv_n, t_end, lo, hi, tol):
-    """Run the loop and the sweep; assert the same (k, status) and knots."""
+def _all_clocks(kind, p, driver, inv_n, t_end, lo, hi, tol, window=W):
+    """Run the numpy-scalar oracle, the loop on Python floats, the sweep at
+    `window` knots a pass and clock_knots_kind; assert the same (k, status)
+    and knots, and return the oracle's."""
     args = (kind, p, driver, inv_n, t_end, lo, hi, tol)
-    buf_seq, k_seq, st_seq = _kernels._clock_seq(*args)
-    buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(*args)
-    assert (k_vec, st_vec) == (k_seq, st_seq)
-    np.testing.assert_array_equal(buf_vec[: k_vec + 1], buf_seq[: k_seq + 1])
+    # numpy scalars warn where the routes must not; the routes run outside
+    # errstate, so a warning from one fails the test
+    with np.errstate(all="ignore"):
+        buf_seq, k_seq, st_seq = oracles.clock_seq(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CLOCK_WINDOW", window)
+        for route in CLOCK_ROUTES:
+            buf, k, status = route(*args)
+            assert (k, status) == (k_seq, st_seq), route.__name__
+            np.testing.assert_array_equal(buf[: k + 1], buf_seq[: k_seq + 1],
+                                          err_msg=route.__name__)
     return buf_seq, k_seq, st_seq
 
 
+#: resolution of the window-edge tests: 3 windows of knots take 1.5 time units
+EDGE_N = 2 * W
+#: the edge tests run the sweep at both window sizes, and put t_end or a
+#: breach at the edges of both
+EDGE_WINDOWS = (W // 2, W)
+
+
 def _smooth_driver(knots):
-    # |x| <= 0.3; on 3 windows at n = 4096 the clock stays below 0.33, so
+    # |x| <= 0.3; on 3 windows at n = EDGE_N the clock stays below 0.33, so
     # sigma = 2 + sin(x + t) stays below 2.6
     return 0.3 * np.sin(np.arange(knots) / 50.0)
 
@@ -74,11 +97,8 @@ class TestClockLanes:
         # non-transcendental kind: the sweep and the loop must agree exactly
         c = builtin_coefficient("holder-root", CORPUS_PARAMS["holder-root"])
         driver = generate_path(32, 10.0, 0.0, SEED, 1)
-        args = (driver.values, 1.0 / 32, 1.0, c.c1, c.c2, c.bound_tolerance)
-        buf_seq, k_seq, st_seq = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
-        buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(c.kernel_kind, c.kernel_params, *args)
-        assert (k_seq, st_seq) == (k_vec, st_vec)
-        np.testing.assert_array_equal(buf_seq[: k_seq + 1], buf_vec[: k_vec + 1])
+        _all_clocks(c.kernel_kind, c.kernel_params, driver.values, 1.0 / 32, 1.0,
+                    c.c1, c.c2, c.bound_tolerance)
 
     def test_cumsum_identical_to_interpreted_loop_holder_beta_06(self):
         # the sweep and the loop take |x - c|^beta from libm's pow; numpy's
@@ -87,26 +107,38 @@ class TestClockLanes:
         c = builtin_coefficient("holder-root", [1.0, 1.0, 0.6, 0.0])
         for sample in range(1, 6):
             driver = generate_path(1024, 10.0, 0.0, SEED, sample)
-            args = (driver.values, 1.0 / 1024, 1.0, c.c1, c.c2, c.bound_tolerance)
-            buf_seq, k_seq, st_seq = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
-            buf_vec, k_vec, st_vec = _kernels.clock_knots_kind(
-                c.kernel_kind, c.kernel_params, *args
-            )
-            assert (k_seq, st_seq) == (k_vec, st_vec), sample
-            np.testing.assert_array_equal(
-                buf_seq[: k_seq + 1], buf_vec[: k_vec + 1], err_msg=f"sample {sample}"
-            )
+            _all_clocks(c.kernel_kind, c.kernel_params, driver.values, 1.0 / 1024, 1.0,
+                        c.c1, c.c2, c.bound_tolerance)
 
     @pytest.mark.parametrize("n", [16, 1024, 2**14])
     @pytest.mark.parametrize("name,params", CLOCK_CASES)
     def test_sweep_identical_to_loop(self, name, params, n):
         c = builtin_coefficient(name, params)
         driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 2)
-        _, _, status = _both_clocks(
+        _, _, status = _all_clocks(
             c.kernel_kind, c.kernel_params, driver.values, 1.0 / n, 1.0,
             c.c1, c.c2, c.bound_tolerance,
         )
         assert status == _kernels.OK
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name,params", CLOCK_CASES)
+    def test_sweep_at_every_window_size(self, name, params, window):
+        # reaching t_end, exhaustion, and a breach at the largest sigma seen
+        c = builtin_coefficient(name, params)
+        n = 256
+        driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 5).values
+        args = (c.kernel_kind, c.kernel_params)
+        bounds = (c.c1, c.c2, c.bound_tolerance)
+        clock, k, status = _all_clocks(*args, driver, 1.0 / n, 1.0, *bounds, window=window)
+        assert status == _kernels.OK
+        short = driver[:k]
+        assert _all_clocks(*args, short, 1.0 / n, 1.0, *bounds, window=window)[1:] == (
+            k - 1, _kernels.EXHAUSTED)
+        seen = _kernels.sigma_of(*args, _kernels.VECTOR_OPS)(clock[:k], driver[:k])
+        lied = (c.c1, np.nextafter(seen.max(), 0.0), 0.0)
+        assert _all_clocks(*args, driver, 1.0 / n, 1.0, *lied, window=window)[1:] == (
+            int(seen.argmax()), _kernels.BOUNDS_BREACH)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -119,38 +151,47 @@ class TestClockLanes:
         # the driver may run out before t_end, so EXHAUSTED is drawn too
         c = builtin_coefficient("time-smooth", [2.0, 1.0])
         driver = generate_path(n, horizon, 0.0, seed, 1)
-        _both_clocks(
+        _all_clocks(
             c.kernel_kind, c.kernel_params, driver.values, 1.0 / n, t_end,
             c.c1, c.c2, c.bound_tolerance,
         )
 
     @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
-    @pytest.mark.parametrize("at", [W - 1, W, W + 1, 2 * W])
+    @pytest.mark.parametrize(
+        "at", sorted({at for w in EDGE_WINDOWS for at in (w - 1, w, w + 1, 2 * w)}))
     def test_t_end_reached_at_window_edges(self, name, at):
         # t_end is the loop's clock at a knot next to the end of a window,
         # so the sweep must stop exactly there
         c = builtin_coefficient(name, [2.0, 1.0])
-        args = (c.kernel_kind, c.kernel_params, _smooth_driver(3 * W), 1.0 / 4096)
-        clock, _, _ = _kernels._clock_seq(*args, np.inf, c.c1, c.c2, c.bound_tolerance)
-        _, k, status = _both_clocks(*args, clock[at], c.c1, c.c2, c.bound_tolerance)
-        assert (k, status) == (at, _kernels.OK)
+        args = (c.kernel_kind, c.kernel_params, _smooth_driver(3 * W), 1.0 / EDGE_N)
+        bounds = (c.c1, c.c2, c.bound_tolerance)
+        clock, _, _ = oracles.clock_seq(*args, np.inf, *bounds)
+        for window in EDGE_WINDOWS:
+            _, k, status = _all_clocks(*args, clock[at], *bounds, window=window)
+            assert (k, status) == (at, _kernels.OK)
 
     @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
     @pytest.mark.parametrize("windows", [1, 2])
     def test_driver_ending_at_a_window_edge(self, name, windows):
         c = builtin_coefficient(name, [2.0, 1.0])
         last = windows * W
-        args = (c.kernel_kind, c.kernel_params, _smooth_driver(last + 1), 1.0 / 4096)
+        args = (c.kernel_kind, c.kernel_params, _smooth_driver(last + 1), 1.0 / EDGE_N)
         bounds = (c.c1, c.c2, c.bound_tolerance)
-        clock, k, status = _both_clocks(*args, np.inf, *bounds)
-        assert (k, status) == (last, _kernels.EXHAUSTED)
-        # the last knot reaches t_end exactly, or falls just short of it
-        assert _both_clocks(*args, clock[last], *bounds)[1:] == (last, _kernels.OK)
-        after = np.nextafter(clock[last], np.inf)
-        assert _both_clocks(*args, after, *bounds)[1:] == (last, _kernels.EXHAUSTED)
+        for window in EDGE_WINDOWS:
+            clock, k, status = _all_clocks(*args, np.inf, *bounds, window=window)
+            assert (k, status) == (last, _kernels.EXHAUSTED)
+            # the last knot reaches t_end exactly, or falls just short of it
+            assert _all_clocks(*args, clock[last], *bounds, window=window)[1:] == (
+                last, _kernels.OK)
+            after = np.nextafter(clock[last], np.inf)
+            assert _all_clocks(*args, after, *bounds, window=window)[1:] == (
+                last, _kernels.EXHAUSTED)
 
     @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
-    @pytest.mark.parametrize("at", [0, 1000, W - 1, W, W + 1000, 2 * W - 1])
+    @pytest.mark.parametrize(
+        "at",
+        sorted({at for w in EDGE_WINDOWS for at in (0, 1000, w - 1, w, w + 1000, 2 * w - 1)}),
+    )
     def test_bounds_breach_anywhere_in_a_window(self, name, at):
         # sigma reads 3.0 at knot `at` and stays below 2.6 before it; the
         # bound 2.9 is breached first there, at a window's first, middle or
@@ -158,17 +199,20 @@ class TestClockLanes:
         c = builtin_coefficient(name, [2.0, 1.0])
         timed = name == "time-smooth"
         driver = _smooth_driver(3 * W)
-        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / 4096)
-        clock, _, _ = _kernels._clock_seq(*args, np.inf, c.c1, c.c2, c.bound_tolerance)
+        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / EDGE_N)
+        clock, _, _ = oracles.clock_seq(*args, np.inf, c.c1, c.c2, c.bound_tolerance)
         driver[at] = np.pi / 2 - (clock[at] if timed else 0.0)
         bounds = (c.c1, 2.9, 1e-12)
-        _, k, status = _both_clocks(*args, np.inf, *bounds)
-        assert (k, status) == (at, _kernels.BOUNDS_BREACH)
-        # the loop tests the bound at a knot before its step; t_end at that
-        # knot is reached first, t_end one knot later is not
-        if at:
-            assert _both_clocks(*args, clock[at], *bounds)[1:] == (at, _kernels.OK)
-        assert _both_clocks(*args, clock[at + 1], *bounds)[1:] == (at, _kernels.BOUNDS_BREACH)
+        for window in EDGE_WINDOWS:
+            _, k, status = _all_clocks(*args, np.inf, *bounds, window=window)
+            assert (k, status) == (at, _kernels.BOUNDS_BREACH)
+            # the loop tests the bound at a knot before its step; t_end at
+            # that knot is reached first, t_end one knot later is not
+            if at:
+                assert _all_clocks(*args, clock[at], *bounds, window=window)[1:] == (
+                    at, _kernels.OK)
+            assert _all_clocks(*args, clock[at + 1], *bounds, window=window)[1:] == (
+                at, _kernels.BOUNDS_BREACH)
 
     @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
     def test_nan_after_t_end_in_the_same_window(self, name):
@@ -176,30 +220,45 @@ class TestClockLanes:
         # the bound test and makes every later knot NaN
         c = builtin_coefficient(name, [2.0, 1.0])
         driver = _smooth_driver(W)
-        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / 4096)
+        args = (c.kernel_kind, c.kernel_params, driver, 1.0 / EDGE_N)
         bounds = (c.c1, c.c2, c.bound_tolerance)
-        clock, _, _ = _kernels._clock_seq(*args, np.inf, *bounds)
+        clock, _, _ = oracles.clock_seq(*args, np.inf, *bounds)
         driver[1500:] = np.nan
-        assert _both_clocks(*args, clock[1000], *bounds)[1:] == (1000, _kernels.OK)
-        assert _both_clocks(*args, np.inf, *bounds)[1:] == (W - 1, _kernels.EXHAUSTED)
+        assert _all_clocks(*args, clock[1000], *bounds)[1:] == (1000, _kernels.OK)
+        assert _all_clocks(*args, np.inf, *bounds)[1:] == (W - 1, _kernels.EXHAUSTED)
 
     def test_bounds_breach_detected_same_knot(self):
         c = builtin_coefficient("constant", [2.0])
         driver = generate_path(16, 4.0, 0.0, SEED, 3)
         # lie about the bounds so the true value 2.0 breaches them
         args = (driver.values, 1.0 / 16, 1.0, 3.0, 4.0, 1e-12)
-        buf, k, status = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
-        assert status == _kernels.BOUNDS_BREACH and k == 0
-        _, k2, status2 = _kernels.clock_knots_kind(c.kernel_kind, c.kernel_params, *args)
-        assert (k2, status2) == (k, status)
+        _, k, status = _all_clocks(c.kernel_kind, c.kernel_params, *args)
+        assert (k, status) == (0, _kernels.BOUNDS_BREACH)
 
     def test_exhaustion_status(self):
         c = builtin_coefficient("constant", [2.0])
         driver = generate_path(16, 1.0, 0.0, SEED, 4)  # clock needs 4 time units
         args = (driver.values, 1.0 / 16, 1.0, c.c1, c.c2, c.bound_tolerance)
-        _, _, status = _kernels._clock_seq(c.kernel_kind, c.kernel_params, *args)
+        _, _, status = _all_clocks(c.kernel_kind, c.kernel_params, *args)
         assert status == _kernels.EXHAUSTED
-        _both_clocks(c.kernel_kind, c.kernel_params, *args)
+
+    @pytest.mark.parametrize(
+        "kind,p,x",
+        [
+            (_kernels.KIND_CONSTANT, [0.0], 0.25),
+            # sin(-pi/2) is -1.0 exactly, so sigma is 0.0 at knot 0
+            (_kernels.KIND_TIME_SMOOTH, [1.0, 1.0], -math.pi / 2),
+        ],
+    )
+    def test_zero_sigma_is_an_infinite_step(self, kind, p, x):
+        # numpy's division gives inv_n / 0.0 = inf, and the clock reaches any
+        # t_end there; the loop on Python floats must take that step too,
+        # with no ZeroDivisionError and no warning
+        driver = np.full(8, x)
+        for route in CLOCK_ROUTES:
+            buf, k, status = route(kind, p, driver, 1.0 / 16, 1.0, 0.0, 2.0, 0.0)
+            assert (k, status) == (1, _kernels.OK), route.__name__
+            assert buf[:2].tolist() == [0.0, math.inf], route.__name__
 
 
 _CLOCK_DIGEST = """
@@ -208,8 +267,9 @@ from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
 from tcsde.timechange import build_time_change, required_horizon
 c = builtin_coefficient(sys.argv[1], [float(v) for v in sys.argv[2:]])
-tc = build_time_change(generate_path(1024, required_horizon(c, 2.5, 1024), 0.0, %d, 1), c, 2.5)
-print(hashlib.sha256(tc.clock.tobytes()).hexdigest())
+for n in (1024, 2**14):
+    tc = build_time_change(generate_path(n, required_horizon(c, 2.5, n), 0.0, %d, 1), c, 2.5)
+    print(n, hashlib.sha256(tc.clock.tobytes()).hexdigest())
 """ % SEED
 
 
@@ -224,12 +284,14 @@ print(hashlib.sha256(tc.clock.tobytes()).hexdigest())
 def test_clock_bytes_independent_of_cpu_dispatch(name, params):
     """The clock's bytes do not depend on which SIMD targets numpy dispatches to.
 
-    A child process builds one clock with numpy's AVX-512 dispatch on, and
-    another with it off. On a CPU without AVX-512 both children run the same
-    code, and the test passes trivially.
+    A child process builds one clock at n = 1024 and one at n = 2^14 (for
+    time-smooth, the loop and the sweep) with numpy's AVX-512 dispatch on,
+    and another with it off. On a CPU without AVX-512 both children run the
+    same code, and the test passes trivially.
     """
     digests = oracles.digests_with_avx512_on_and_off(_CLOCK_DIGEST, name, *params)
     assert digests[0] == digests[1]
+
 
 
 def _em_both(kind, p, increments, n, x0):
