@@ -28,6 +28,7 @@ Kernels:
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -83,13 +84,20 @@ def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
     # on Python floats, stopping at the first knot with clock >= t_end. Returns
     # (knots, k, status): on OK the knots 0..k; on BOUNDS_BREACH k is the bad
     # step. A zero sigma^2 is an infinite step, as numpy's division gives it.
+    # The driver is read as lists of CLOCK_WINDOW knots, only as far as the
+    # clock goes: a ladder driver holds more than twice the knots its clock
+    # uses.
     sigma = sigma_of(kind, p, SCALAR_OPS)
+    head = driver[:-1]
+    xs = chain.from_iterable(
+        head[j : j + CLOCK_WINDOW].tolist() for j in range(0, head.shape[0], CLOCK_WINDOW)
+    )
     lo, hi = lo - tol, hi + tol
     c = 0.0
     clock = [c]
     append = clock.append
     status = EXHAUSTED
-    for x in driver[:-1].tolist():
+    for x in xs:
         s = sigma(c, x)
         if s < lo or s > hi:
             status = BOUNDS_BREACH
@@ -105,7 +113,7 @@ def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
     return np.array(clock, dtype=np.float64), len(clock) - 1, status
 
 
-#: Knots per pass of the clock's Picard sweep.
+#: Knots per pass of the clock's Picard sweep, and per list the loop reads.
 CLOCK_WINDOW = 4096
 #: A time-dependent clock at a resolution n below this runs the loop.
 CLOCK_LOOP_BELOW = 2048

@@ -30,7 +30,6 @@ from .experiment import (
     SCHEME_COMPARE,
     ExperimentConfig,
     blame_sample,
-    compare_schemes,
     run_experiment,
     sample_paths,
 )
@@ -138,15 +137,16 @@ def _write_manifest(out: Path, args: argparse.Namespace, config: ExperimentConfi
     _write_json(out / "manifest.json", manifest)
 
 
-def _print_report(report, coeff) -> None:
-    orders = report.theoretical_orders
+def _print_report(report: dict, coeff) -> None:
+    orders = report["theoretical_orders"]
     overlay = orders["smooth"] if coeff.smoothness == SMOOTH else orders["holder"]
     print(
-        f"[{report.scheme}] fitted order {report.fitted_order:.4f} "
-        f"(stderr {report.fit_stderr:.4f}); guaranteed overlay order {overlay:.4f}"
+        f"[{report['scheme']}] fitted order {report['fitted_order']:.4f} "
+        f"(stderr {report['fit_stderr']:.4f}); guaranteed overlay order {overlay:.4f}"
     )
-    for n, err, se in report.per_resolution:
-        print(f"  n={n:>6d}  mean_error={err:.6e}  stderr={se:.2e}")
+    for row in report["per_resolution"]:
+        print(f"  n={row['n']:>6d}  mean_error={row['mean_error']:.6e}  "
+              f"stderr={row['stderr']:.2e}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -157,17 +157,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = _prepare_outputs(
         args.out, ["report.json", "report.csv", "manifest.json"], args.force
     )
-    jobs = args.jobs or os.cpu_count() or 1
-    if config.scheme == SCHEME_COMPARE:
-        result = compare_schemes(config, jobs=jobs)
-        reports = (result.time_change, result.euler_maruyama)
-    else:
-        result = run_experiment(config, jobs=jobs)
-        reports = (result,)
-    _write_json(out / "report.json", result.to_json_dict())
-    _write_csv(out / "report.csv", result.csv_rows())
-    for report in reports:
-        _print_report(report, coeff)
+    report = run_experiment(config, jobs=args.jobs or os.cpu_count() or 1)
+    _write_json(out / "report.json", report)
+    compare = config.scheme == SCHEME_COMPARE
+    reports = list(report.values()) if compare else [report]
+    # report.csv holds each report's per_resolution table; only a comparison
+    # keeps the scheme column
+    rows = [["scheme", "n", "mean_error", "stderr"]] + [
+        [rep["scheme"], row["n"], repr(row["mean_error"]), repr(row["stderr"])]
+        for rep in reports
+        for row in rep["per_resolution"]
+    ]
+    _write_csv(out / "report.csv", rows if compare else [row[1:] for row in rows])
+    for rep in reports:
+        _print_report(rep, coeff)
     _write_manifest(out, args, config)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -40,13 +40,10 @@ __all__ = [
     "SCHEME_COMPARE",
     "ExperimentConfig",
     "SampleResult",
-    "RateReport",
-    "SchemeComparison",
     "sample_paths",
     "blame_sample",
     "strong_error_one_sample",
     "run_experiment",
-    "compare_schemes",
     "fit_loglog",
 ]
 
@@ -214,15 +211,15 @@ class ExperimentConfig:
 class SampleResult:
     """Per-sample coupled sup-errors, one entry per ladder resolution.
 
-    For the time-change scheme the inverse-clock and clock discrepancies
-    against the reference are recorded as well: the first must be bounded by
-    C2^2 times the second (checked by the acceptance suite on every sample).
     Entry i belongs to config.resolutions[i]; results travel in index order.
+    For the time-change scheme, bound_excess is the largest amount, over the
+    levels, by which the inverse-clock discrepancy against the reference
+    exceeds C2^2 times the clock discrepancy; the acceptance suite checks on
+    every sample that it is at most 1e-10.
     """
 
     sup_errors: np.ndarray
-    inverse_clock_sup: Optional[np.ndarray] = None
-    clock_sup: Optional[np.ndarray] = None
+    bound_excess: Optional[float] = None
 
 
 def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:
@@ -286,8 +283,7 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
     ref_s = ref.time_change.knots_s
     s_cap = config.sde_horizon * coeff.c2**2
     errors = np.empty(len(config.resolutions))
-    inv_sup = np.empty(len(config.resolutions))
-    clk_sup = np.empty(len(config.resolutions))
+    excess = -np.inf
     for i, n in enumerate(config.resolutions):
         path = paths[n]
         s = path.time_change.knots_s
@@ -295,10 +291,11 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
         # inverse clocks are piecewise linear in SDE time with knots
         # (clock value, brownian time); clocks are piecewise linear in
         # brownian time, compared up to C2^2 * T on the common domain
-        inv_sup[i] = _kernels.pl_sup_abs_diff(path.t, s, ref.t, ref_s, config.sde_horizon)
+        inv_sup = _kernels.pl_sup_abs_diff(path.t, s, ref.t, ref_s, config.sde_horizon)
         s_hi = min(s[-1], ref_s[-1], s_cap)
-        clk_sup[i] = _kernels.pl_sup_abs_diff(s, path.t, ref_s, ref.t, s_hi)
-    return SampleResult(sup_errors=errors, inverse_clock_sup=inv_sup, clock_sup=clk_sup)
+        clk_sup = _kernels.pl_sup_abs_diff(s, path.t, ref_s, ref.t, s_hi)
+        excess = max(excess, inv_sup - coeff.c2**2 * clk_sup)
+    return SampleResult(errors, excess)
 
 
 def _em_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
@@ -362,67 +359,6 @@ def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[flo
     return slope, stderr
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Per-resolution L^p sup-errors and the regressed empirical order."""
-
-    scheme: str
-    per_resolution: tuple[tuple[int, float, float], ...]
-    fitted_order: float
-    fit_stderr: float
-    theoretical_orders: dict
-    diagnostics: dict
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ns = [n for n, _, _ in self.per_resolution]
-        if ns != sorted(ns):
-            raise ValueError("per_resolution must be sorted by n")
-        if any(err <= 0 for _, err, _ in self.per_resolution):
-            raise ValueError("per-resolution errors must be strictly positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "per_resolution": [
-                {"n": n, "mean_error": err, "stderr": se}
-                for n, err, se in self.per_resolution
-            ],
-            "fitted_order": self.fitted_order,
-            "fit_stderr": self.fit_stderr,
-            "theoretical_orders": self.theoretical_orders,
-            "diagnostics": self.diagnostics,
-            "metadata": self.metadata,
-        }
-
-    def csv_rows(self) -> list[list]:
-        rows = [["n", "mean_error", "stderr"]]
-        for n, err, se in self.per_resolution:
-            rows.append([n, repr(float(err)), repr(float(se))])
-        return rows
-
-
-@dataclass(frozen=True)
-class SchemeComparison:
-    """Side-by-side rate reports for the two schemes on one configuration."""
-
-    time_change: RateReport
-    euler_maruyama: RateReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "time_change": self.time_change.to_json_dict(),
-            "euler_maruyama": self.euler_maruyama.to_json_dict(),
-        }
-
-    def csv_rows(self) -> list[list]:
-        """Both reports' rows, each led by its scheme name."""
-        rows = [["scheme"] + self.time_change.csv_rows()[0]]
-        for rep in (self.time_change, self.euler_maruyama):
-            rows.extend([rep.scheme] + row for row in rep.csv_rows()[1:])
-        return rows
-
-
 def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
     """Every sample's result in index order; raises at the first failing index.
 
@@ -452,15 +388,19 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return x**e if e in (-1.0, 0.0, 0.5, 1.0, 2.0) else np.float_power(x, e)
 
 
-def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> RateReport:
+def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> dict:
     """Estimate L^p sup-errors over the ladder and regress the empirical order.
 
-    Deterministic for a given master_seed, independent of ``jobs``: samples
-    are keyed by index and reduced in index order.
+    Returns the payload of report.json (see README's report schema). Under
+    the compare scheme the whole config is checked first, then each scheme
+    runs on its own and the two reports are nested under time_change and
+    euler_maruyama. Deterministic for a given master_seed, independent of
+    ``jobs``: samples are keyed by index and reduced in index order.
     """
-    if config.scheme == SCHEME_COMPARE:
-        raise ConfigError("scheme: run_experiment takes a single scheme; use compare_schemes")
     coeff = config.validate_for_run()
+    if config.scheme == SCHEME_COMPARE:
+        schemes = {"time_change": SCHEME_TIME_CHANGE, "euler_maruyama": SCHEME_EULER_MARUYAMA}
+        return {k: run_experiment(replace(config, scheme=s), jobs) for k, s in schemes.items()}
     jobs = 1 if jobs is None else max(1, int(jobs))
     results = _collect(config, jobs)
 
@@ -489,6 +429,12 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
     ns_fit = np.asarray(config.resolutions)[usable]
     if len(ns_fit) < 2:
         raise TcsdeError(f"fewer than two resolutions above the error floor {ERROR_FLOOR}")
+    if not lp_mean.all():
+        n = config.resolutions[int(np.argmin(lp_mean))]
+        raise TcsdeError(
+            f"at n={n} every sample's error is exactly 0, so no order can be "
+            "measured there (are the increments lost in the rounding of x0?)"
+        )
     fitted, fit_se = fit_loglog(ns_fit, lp_mean[usable])
 
     diagnostics = {
@@ -496,39 +442,21 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> Rate
         "c2_squared": coeff.c2**2,
         "lanes": "numpy",
     }
-    if results[0].inverse_clock_sup is not None:
-        excess = max(
-            float(np.max(r.inverse_clock_sup - coeff.c2**2 * r.clock_sup))
-            for r in results
-        )
-        diagnostics["inverse_clock_bound_max_excess"] = excess
+    if results[0].bound_excess is not None:
+        diagnostics["inverse_clock_bound_max_excess"] = max(r.bound_excess for r in results)
 
-    per_resolution = tuple(
-        (int(n), float(e), float(se))
-        for n, e, se in zip(config.resolutions, lp_mean, stderr)
-    )
-    return RateReport(
-        scheme=config.scheme,
-        per_resolution=per_resolution,
-        fitted_order=fitted,
-        fit_stderr=fit_se,
-        theoretical_orders={
+    return {
+        "scheme": config.scheme,
+        "per_resolution": [
+            {"n": int(n), "mean_error": float(e), "stderr": float(se)}
+            for n, e, se in zip(config.resolutions, lp_mean, stderr)
+        ],
+        "fitted_order": fitted,
+        "fit_stderr": fit_se,
+        "theoretical_orders": {
             "holder": OVERLAY_ALPHA**2 * coeff.holder_beta,
             "smooth": OVERLAY_ALPHA,
         },
-        diagnostics=diagnostics,
-        metadata={"config": config.to_mapping(), "tool_version": f"tcsde {__version__}"},
-    )
-
-
-def compare_schemes(config: ExperimentConfig, jobs: Optional[int] = None) -> SchemeComparison:
-    """Run both schemes on the same configuration and return paired reports.
-
-    Refuses coefficients with spatial Hoelder exponent below 1/2:
-    the Euler-Maruyama baseline has no strong-convergence guarantee there,
-    so its self-convergence slope would not measure a limit object.
-    """
-    replace(config, scheme=SCHEME_COMPARE).validate_for_run()
-    tc = run_experiment(replace(config, scheme=SCHEME_TIME_CHANGE), jobs=jobs)
-    em = run_experiment(replace(config, scheme=SCHEME_EULER_MARUYAMA), jobs=jobs)
-    return SchemeComparison(time_change=tc, euler_maruyama=em)
+        "diagnostics": diagnostics,
+        "metadata": {"config": config.to_mapping(), "tool_version": f"tcsde {__version__}"},
+    }

@@ -5,6 +5,7 @@ criterion 3's experiment goes through the CLI so the determinism criterion
 can compare the report bytes it writes.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -21,7 +22,6 @@ from tcsde.cli import main, parse_config_file
 from tcsde.diffusion import builtin_coefficient
 from tcsde.experiment import (
     ExperimentConfig,
-    compare_schemes,
     run_experiment,
     sample_paths,
     strong_error_one_sample,
@@ -30,6 +30,26 @@ from tcsde.timechange import SamplePath, build_time_change, required_horizon
 
 REPO = Path(__file__).resolve().parent.parent
 
+#: sha256 of (report.json, report.csv) that each committed config writes; a
+#: change that moves them on purpose updates them and says why
+COMMITTED_DIGESTS = {
+    "smooth-sin-rate.cfg": (
+        "8564eac374854a4bfa734500eacff0ebb9f54feab8d1d5752d33b9a83ff25a64",
+        "6df2824ad7d64f01a1980b0cbdb45c5fd8119b02e93b8efa10fd3407029b3f68",
+    ),
+    "holder-root-compare.cfg": (
+        "aba226361c8ebd517a35bdd8940f82a16549a0d9370c9f70ecfd671badbd9bf6",
+        "54606d6c18df2a8e5d00ce721375d84e2317c0e5279aa69c4a72e6170f8986f0",
+    ),
+}
+
+
+def _digests(out: Path) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.json", "report.csv")
+    )
+
 
 def _record(num: int, text: str) -> None:
     ACCEPTANCE_RESULTS.append(f"criterion {num}: PASS - {text}")
@@ -37,16 +57,19 @@ def _record(num: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def criterion3_runs(tmp_path_factory):
-    """Criterion 3's experiment, run through the CLI with jobs 1 and jobs 8."""
+    """Criterion 3's experiment, run through the CLI with jobs 1 and jobs 8:
+    its report and, per jobs, the report.json bytes and both outputs' digests."""
     cfg = REPO / "configs" / "smooth-sin-rate.cfg"
     outputs = {}
+    digests = {}
     for jobs in (1, 8):
         out = tmp_path_factory.mktemp(f"crit3-jobs{jobs}")
         code = main(["run", str(cfg), "--out", str(out), "--jobs", str(jobs)])
         assert code == 0
         outputs[jobs] = (out / "report.json").read_bytes()
+        digests[jobs] = _digests(out)
     report = json.loads(outputs[1])
-    return report, outputs
+    return report, outputs, digests
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +178,12 @@ def test_criterion_2_constant_sigma_oracle():
 def test_criterion_3_smooth_rate(criterion3_runs):
     # smooth-sin(2,1), T=1, p=2, M=1000, ladder 2^4..2^10, ref 2^14:
     # fitted order within [0.40, 0.65]
-    report, _ = criterion3_runs
+    report, _, digests = criterion3_runs
     fitted = report["fitted_order"]
     assert 0.40 <= fitted <= 0.65, fitted
     ns = [row["n"] for row in report["per_resolution"]]
     assert ns == [2**k for k in range(4, 11)]
+    assert digests[1] == COMMITTED_DIGESTS["smooth-sin-rate.cfg"]
     _record(3, f"smooth-sin fitted order {fitted:.4f} in [0.40, 0.65]")
 
 
@@ -169,14 +193,14 @@ def test_criterion_4_holder_rates(criterion4_reports):
     floors = {0.5: 0.10, 0.3: 0.02}
     for beta, floor in floors.items():
         rep = criterion4_reports[beta]
-        errs = [err for _, err, _ in rep.per_resolution]
+        errs = [row["mean_error"] for row in rep["per_resolution"]]
         assert all(a > b for a, b in zip(errs, errs[1:])), (beta, errs)
-        assert rep.fitted_order > floor, (beta, rep.fitted_order)
+        assert rep["fitted_order"] > floor, (beta, rep["fitted_order"])
     _record(
         4,
         "holder-root orders "
         + ", ".join(
-            f"beta={b}: {criterion4_reports[b].fitted_order:.4f} > {floors[b]}"
+            f"beta={b}: {criterion4_reports[b]['fitted_order']:.4f} > {floors[b]}"
             for b in (0.5, 0.3)
         ),
     )
@@ -185,10 +209,10 @@ def test_criterion_4_holder_rates(criterion4_reports):
 def test_criterion_5_inverse_clock_bound(criterion3_runs, criterion4_reports):
     # on every sample of criteria 3 and 4 the inverse-clock discrepancy is
     # bounded by C2^2 times the clock discrepancy up to C2^2*T, within 1e-10
-    report3, _ = criterion3_runs
+    report3, _, _ = criterion3_runs
     excesses = [report3["diagnostics"]["inverse_clock_bound_max_excess"]]
     excesses += [
-        rep.diagnostics["inverse_clock_bound_max_excess"]
+        rep["diagnostics"]["inverse_clock_bound_max_excess"]
         for rep in criterion4_reports.values()
     ]
     assert all(e <= 1e-10 for e in excesses), excesses
@@ -230,31 +254,22 @@ def test_criterion_6_breakpoint_sup_oracle():
 
 def test_criterion_7_determinism_across_jobs(criterion3_runs):
     # the criterion-3 experiment rerun with --jobs 1 and --jobs 8 writes
-    # bit-identical report.json
-    _, outputs = criterion3_runs
+    # bit-identical report.json (and report.csv)
+    _, outputs, digests = criterion3_runs
     assert outputs[1] == outputs[8]
+    assert digests[1] == digests[8]
     _record(7, f"report.json identical for jobs 1 and 8 ({len(outputs[1])} bytes)")
 
 
-def test_criterion_8_scheme_comparison():
-    # holder-root beta=0.6: both schemes report orders; the time-change
-    # order exceeds the baseline's guaranteed order beta - 1/2 = 0.1
-    cfg = ExperimentConfig(
-        coefficient="holder-root",
-        params=(1.0, 1.0, 0.6, 0.0),
-        sde_horizon=1.0,
-        x0=0.0,
-        resolutions=tuple(2**k for k in range(4, 10)),
-        ref_resolution=2**13,
-        p=2.0,
-        samples=200,
-        master_seed=SEED,
-    )
-    cmp = compare_schemes(cfg, jobs=2)
-    assert np.isfinite(cmp.euler_maruyama.fitted_order)
-    assert cmp.time_change.fitted_order > 0.6 - 0.5, cmp.time_change.fitted_order
-    _record(
-        8,
-        f"time-change order {cmp.time_change.fitted_order:.4f} > 0.10; "
-        f"baseline order {cmp.euler_maruyama.fitted_order:.4f} reported",
-    )
+def test_criterion_8_scheme_comparison(tmp_path):
+    # holder-root beta=0.6, as configs/holder-root-compare.cfg runs it: both
+    # schemes report orders; the time-change order exceeds the baseline's
+    # guaranteed order beta - 1/2 = 0.1
+    cfg = REPO / "configs" / "holder-root-compare.cfg"
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert _digests(tmp_path) == COMMITTED_DIGESTS["holder-root-compare.cfg"]
+    cmp = json.loads((tmp_path / "report.json").read_text())
+    tc, em = cmp["time_change"]["fitted_order"], cmp["euler_maruyama"]["fitted_order"]
+    assert np.isfinite(em)
+    assert tc > 0.6 - 0.5, tc
+    _record(8, f"time-change order {tc:.4f} > 0.10; baseline order {em:.4f} reported")

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -130,11 +131,8 @@ class TestCmdRun:
     def test_non_finite_report_exits_3_and_writes_nothing(
         self, config_file, tmp_path, capsys, monkeypatch
     ):
-        class NanReport:
-            def to_json_dict(self):
-                return {"fitted_order": float("nan")}
-
-        monkeypatch.setattr(cli, "run_experiment", lambda config, jobs: NanReport())
+        nan_report = {"fitted_order": float("nan")}
+        monkeypatch.setattr(cli, "run_experiment", lambda config, jobs: nan_report)
         out = tmp_path / "out"
         assert main(["run", str(config_file), "--out", str(out), "--jobs", "1"]) == 3
         err = capsys.readouterr().err
@@ -259,6 +257,29 @@ class TestCmdRun:
         assert set(report) == {"time_change", "euler_maruyama"}
         csv_text = (out / "report.csv").read_text()
         assert csv_text.splitlines()[0] == "scheme,n,mean_error,stderr"
+
+    @pytest.mark.parametrize("scheme", ["time-change", "compare"])
+    def test_csv_rows_are_the_json_values(self, tmp_path, scheme):
+        # each field is the repr of the report.json value; a comparison's
+        # rows lead with the scheme, time-change first
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(coefficient="holder-root", params="1.0, 1.0, 0.6, 0.0",
+                                    scheme=scheme))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        with (out / "report.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        if scheme == "compare":
+            assert header == ["scheme", "n", "mean_error", "stderr"]
+            reports = [report["time_change"], report["euler_maruyama"]]
+            assert [row.pop(0) for row in rows] == ["time-change"] * 3 + ["euler-maruyama"] * 3
+        else:
+            assert header == ["n", "mean_error", "stderr"]
+            reports = [report]
+        want = [[repr(r[key]) for key in ("n", "mean_error", "stderr")]
+                for rep in reports for r in rep["per_resolution"]]
+        assert rows == want
 
 
 class TestCmdDumpPath:
@@ -398,6 +419,21 @@ class TestRuntimeErrors:
         code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert code == 3
         assert "sample 0" in capsys.readouterr().err
+
+    def test_level_with_every_error_zero_exits_3(self, tmp_path, capsys):
+        # at x0 = 2^53 (ulp 2) the rounding of x0 swallows every EM increment
+        # of these two samples from n = 128 on, so their errors there are 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(
+            coefficient="holder-root", params="1, 1, 0.6, 0", scheme="euler-maruyama",
+            x0=str(2**53), resolutions="16, 32, 64, 128, 256, 512", ref_resolution="8192",
+            samples="2", master_seed="3",
+        ))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: at n=128 every sample's error is exactly 0")
+        assert not (out / "report.json").exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -18,7 +18,6 @@ from tcsde.experiment import (
     SCHEME_EULER_MARUYAMA,
     SCHEME_TIME_CHANGE,
     ExperimentConfig,
-    compare_schemes,
     fit_loglog,
     run_experiment,
     strong_error_one_sample,
@@ -55,7 +54,7 @@ cfg = ExperimentConfig(
     coefficient="holder-root", params=(1.0, 1.0, 0.6, 0.0), sde_horizon=1.0, x0=0.0,
     resolutions=(16, 32, 64), ref_resolution=512, p=3.0, samples=32, master_seed=%d,
 )
-text = json.dumps(run_experiment(cfg).to_json_dict(), sort_keys=True)
+text = json.dumps(run_experiment(cfg), sort_keys=True)
 print(hashlib.sha256(text.encode()).hexdigest())
 """ % SEED
 
@@ -259,14 +258,13 @@ class TestOneSample:
 
     def test_inverse_clock_diagnostics_present_for_time_change(self):
         res = strong_error_one_sample(_config(), 0)
-        assert res.inverse_clock_sup is not None
-        assert res.clock_sup is not None
-        assert np.all(res.inverse_clock_sup <= 9.0 * res.clock_sup + 1e-10)
+        assert res.bound_excess is not None
+        assert res.bound_excess <= 1e-10
 
     def test_em_sample_has_no_clock_diagnostics(self):
         cfg = _config(scheme=SCHEME_EULER_MARUYAMA)
         res = strong_error_one_sample(cfg, 0)
-        assert res.inverse_clock_sup is None
+        assert res.bound_excess is None
         assert np.all(res.sup_errors > 0)
 
 
@@ -295,7 +293,7 @@ class TestDriverExtension:
         calls = self._stingy(monkeypatch)
         stingy = strong_error_one_sample(cfg, 2)
         assert len(calls) > 1
-        for field in ("sup_errors", "inverse_clock_sup", "clock_sup"):
+        for field in ("sup_errors", "bound_excess"):
             np.testing.assert_array_equal(getattr(stingy, field), getattr(reference, field))
 
     def test_under_provisioned_dump_is_bit_identical(self, monkeypatch, tmp_path):
@@ -340,9 +338,7 @@ class TestRunExperiment:
         cfg = _config(samples=12)
         a = run_experiment(cfg, jobs=1)
         b = run_experiment(cfg, jobs=4)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
-        )
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     @pytest.mark.parametrize(
         "name,params,scheme",
@@ -352,8 +348,8 @@ class TestRunExperiment:
     def test_determinism_across_jobs_every_kind(self, name, params, scheme):
         cfg = _config(coefficient=name, params=params, scheme=scheme, samples=4,
                       resolutions=(8, 16), ref_resolution=64)
-        a = json.dumps(run_experiment(cfg, jobs=1).to_json_dict(), sort_keys=True)
-        b = json.dumps(run_experiment(cfg, jobs=2).to_json_dict(), sort_keys=True)
+        a = json.dumps(run_experiment(cfg, jobs=1), sort_keys=True)
+        b = json.dumps(run_experiment(cfg, jobs=2), sort_keys=True)
         assert a == b
 
     @settings(max_examples=8, deadline=None)
@@ -366,7 +362,7 @@ class TestRunExperiment:
         def outcome(jobs):
             # the report.json text, or the error a failing run raises
             try:
-                report = run_experiment(cfg, jobs=jobs).to_json_dict()
+                report = run_experiment(cfg, jobs=jobs)
             except TcsdeError as exc:
                 return f"{type(exc).__name__}: {exc}"
             return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -375,13 +371,13 @@ class TestRunExperiment:
 
     def test_report_structure(self):
         rep = run_experiment(_config(), jobs=2)
-        ns = [n for n, _, _ in rep.per_resolution]
-        assert ns == sorted(ns)
-        assert all(err > 0 for _, err, _ in rep.per_resolution)
-        assert all(se >= 0 for _, _, se in rep.per_resolution)
-        assert rep.theoretical_orders == {"holder": 0.49**2 * 1.0, "smooth": 0.49}
-        assert rep.metadata["config"] == _config().to_mapping()
-        assert "inverse_clock_bound_max_excess" in rep.diagnostics
+        rows = rep["per_resolution"]
+        assert [row["n"] for row in rows] == [16, 32, 64]
+        assert all(row["mean_error"] > 0 for row in rows)
+        assert all(row["stderr"] >= 0 for row in rows)
+        assert rep["theoretical_orders"] == {"holder": 0.49**2 * 1.0, "smooth": 0.49}
+        assert rep["metadata"]["config"] == _config().to_mapping()
+        assert "inverse_clock_bound_max_excess" in rep["diagnostics"]
 
     def test_lp_mean_definition(self):
         # mean error per resolution is the plain L^p Monte Carlo estimator
@@ -391,7 +387,7 @@ class TestRunExperiment:
         )
         rep = run_experiment(cfg, jobs=1)
         expected = np.mean(per_sample**3.0, axis=0) ** (1 / 3.0)
-        got = np.array([err for _, err, _ in rep.per_resolution])
+        got = np.array([row["mean_error"] for row in rep["per_resolution"]])
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_lp_report_bytes_independent_of_cpu_dispatch(self):
@@ -410,10 +406,6 @@ class TestRunExperiment:
             wins += bool(res.sup_errors[0] >= res.sup_errors[1])
         assert wins >= 0.6 * cfg.samples
 
-    def test_compare_scheme_rejected_here(self):
-        with pytest.raises(ConfigError, match="compare"):
-            run_experiment(_config(scheme=SCHEME_COMPARE))
-
     def test_em_rough_coefficient_refused(self):
         cfg = _config(
             coefficient="holder-root",
@@ -431,19 +423,15 @@ class TestRunExperiment:
         sup_errors = np.array([0.5, 0.25, 1e-15])
 
         def synthetic(config, coeff, sample_index):
-            return exp.SampleResult(
-                sup_errors=sup_errors,
-                inverse_clock_sup=np.zeros(3),
-                clock_sup=np.zeros(3),
-            )
+            return exp.SampleResult(sup_errors=sup_errors, bound_excess=0.0)
 
         monkeypatch.setattr(exp, "_tc_sample", synthetic)
         cfg = _config(resolutions=(2, 4, 8), ref_resolution=32, samples=4)
         rep = run_experiment(cfg, jobs=1)
-        assert rep.diagnostics["excluded_resolutions"] == [8]
-        assert len(rep.per_resolution) == 3
-        assert rep.fitted_order == pytest.approx(1.0, abs=1e-12)
-        assert rep.fit_stderr == pytest.approx(0.0, abs=1e-12)
+        assert rep["diagnostics"]["excluded_resolutions"] == [8]
+        assert len(rep["per_resolution"]) == 3
+        assert rep["fitted_order"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["fit_stderr"] == pytest.approx(0.0, abs=1e-12)
 
         # a run left with one usable level fails as a whole, not as a sample
         sup_errors[1] = 1e-15
@@ -490,8 +478,8 @@ class TestRunExperiment:
 
         cfg = _config(samples=4)
         got, want = exp._run_sample(cfg, 2), strong_error_one_sample(cfg, 2)
-        for name in ("sup_errors", "inverse_clock_sup", "clock_sup"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.sup_errors.tobytes() == want.sup_errors.tobytes()
+        assert got.bound_excess == want.bound_excess
         original = exp._tc_sample
 
         def boom(config, coeff, sample_index):
@@ -550,6 +538,7 @@ class TestRunExperiment:
 
 class TestCompareSchemes:
     def test_paired_reports(self):
+        # the compare report is the two single-scheme reports, side by side
         cfg = _config(
             coefficient="holder-root",
             params=(1.0, 1.0, 0.6, 0.0),
@@ -557,12 +546,17 @@ class TestCompareSchemes:
             resolutions=(16, 32),
             ref_resolution=256,
         )
-        cmp = compare_schemes(cfg, jobs=2)
-        assert cmp.time_change.scheme == SCHEME_TIME_CHANGE
-        assert cmp.euler_maruyama.scheme == SCHEME_EULER_MARUYAMA
-        assert cmp.time_change.fitted_order != cmp.euler_maruyama.fitted_order
-        payload = cmp.to_json_dict()
-        assert set(payload) == {"time_change", "euler_maruyama"}
+        cmp = run_experiment(replace(cfg, scheme=SCHEME_COMPARE), jobs=2)
+        assert cmp == {
+            "time_change": run_experiment(replace(cfg, scheme=SCHEME_TIME_CHANGE), jobs=2),
+            "euler_maruyama": run_experiment(
+                replace(cfg, scheme=SCHEME_EULER_MARUYAMA), jobs=2
+            ),
+        }
+        assert list(cmp) == ["time_change", "euler_maruyama"]
+        assert cmp["time_change"]["scheme"] == SCHEME_TIME_CHANGE
+        assert cmp["euler_maruyama"]["scheme"] == SCHEME_EULER_MARUYAMA
+        assert cmp["time_change"]["fitted_order"] != cmp["euler_maruyama"]["fitted_order"]
 
     def test_constant_sigma_both_orders_near_half(self):
         cfg = _config(
@@ -572,14 +566,16 @@ class TestCompareSchemes:
             resolutions=(16, 32, 64),
             ref_resolution=1024,
         )
-        cmp = compare_schemes(cfg, jobs=2)
-        assert 0.3 <= cmp.time_change.fitted_order <= 0.7
-        assert 0.3 <= cmp.euler_maruyama.fitted_order <= 0.7
+        cmp = run_experiment(replace(cfg, scheme=SCHEME_COMPARE), jobs=2)
+        assert 0.3 <= cmp["time_change"]["fitted_order"] <= 0.7
+        assert 0.3 <= cmp["euler_maruyama"]["fitted_order"] <= 0.7
 
     def test_rough_beta_refused_with_explanation(self):
-        cfg = _config(coefficient="holder-root", params=(1.0, 1.0, 0.3, 0.0))
+        cfg = _config(
+            coefficient="holder-root", params=(1.0, 1.0, 0.3, 0.0), scheme=SCHEME_COMPARE
+        )
         with pytest.raises(ConfigError, match="beta=0.3"):
-            compare_schemes(cfg)
+            run_experiment(cfg)
 
     def test_rough_beta_refused_before_any_sample(self, monkeypatch):
         import tcsde.experiment as exp
@@ -592,7 +588,7 @@ class TestCompareSchemes:
         with pytest.raises(ConfigError, match="beta=0.3"):
             cfg.validate_for_run()
         with pytest.raises(ConfigError, match="beta=0.3"):
-            compare_schemes(cfg, jobs=1)
+            run_experiment(cfg, jobs=1)
         assert calls == []
 
     def test_beta_just_above_half_allowed(self):
@@ -603,5 +599,5 @@ class TestCompareSchemes:
             resolutions=(8, 16),
             ref_resolution=64,
         )
-        cmp = compare_schemes(cfg, jobs=1)
-        assert cmp.euler_maruyama.per_resolution[0][1] > 0
+        cmp = run_experiment(replace(cfg, scheme=SCHEME_COMPARE), jobs=1)
+        assert cmp["euler_maruyama"]["per_resolution"][0]["mean_error"] > 0

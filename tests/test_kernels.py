@@ -170,6 +170,23 @@ class TestClockLanes:
             _, k, status = _all_clocks(*args, clock[at], *bounds, window=window)
             assert (k, status) == (at, _kernels.OK)
 
+    @pytest.mark.parametrize("knots", [W - 1, W + 1, 2 * W + 1])
+    def test_loop_reads_the_driver_in_chunks(self, knots):
+        # _clock_seq reads the driver as lists of CLOCK_WINDOW knots: a
+        # driver that ends short of, just past or a knot into the next list
+        # gives the oracle's clock, whether the clock reaches t_end at its
+        # last knot or the driver runs out
+        c = builtin_coefficient("time-smooth", [2.0, 1.0])
+        args = (c.kernel_kind, c.kernel_params, _smooth_driver(knots), 1.0 / EDGE_N)
+        bounds = (c.c1, c.c2, c.bound_tolerance)
+        with np.errstate(all="ignore"):
+            clock, k, status = oracles.clock_seq(*args, np.inf, *bounds)
+        assert (k, status) == (knots - 1, _kernels.EXHAUSTED)
+        for t_end, want in [(np.inf, _kernels.EXHAUSTED), (clock[k], _kernels.OK)]:
+            buf, got_k, got_status = _kernels._clock_seq(*args, t_end, *bounds)
+            assert (got_k, got_status) == (k, want)
+            assert buf.tobytes() == clock[: k + 1].tobytes()
+
     @pytest.mark.parametrize("name", ["time-smooth", "smooth-sin"])
     @pytest.mark.parametrize("windows", [1, 2])
     def test_driver_ending_at_a_window_edge(self, name, windows):
