@@ -185,8 +185,12 @@ def cmd_dump_path(args: argparse.Namespace) -> int:
     n = args.n
     if n != config.ref_resolution and n not in config.resolutions:
         raise ConfigError(
-            f"n: {n} is neither in the configured ladder {list(config.resolutions)} "
+            f"--n: {n} is neither in the configured ladder {list(config.resolutions)} "
             f"nor the reference resolution {config.ref_resolution}"
+        )
+    if not 0 <= args.sample < config.samples:
+        raise ConfigError(
+            f"--sample: {args.sample} outside the configured range [0, {config.samples})"
         )
     coeff = config.build_coefficient()
     name = f"path-{args.sample}-{n}.csv"

@@ -15,6 +15,8 @@ worker count.
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -78,20 +80,32 @@ def _list_of(item):
     return lambda v: tuple(map(item, v.split(",") if isinstance(v, str) else v))
 
 
-#: (config key, ExperimentConfig field, parser) for every config key; only
-#: ``scheme`` may be left out, and then takes the field's default. Every
-#: ExperimentConfig runs each field through its parser, however it was built
+def _ladder(v):
+    """Parser of ``resolutions``: the sorted distinct integers of a list."""
+    return tuple(sorted(set(_list_of(_integer)(v))))
+
+
+#: (config key, ExperimentConfig field, parser, requirement, its text) for
+#: every config key; only ``scheme`` may be left out, and then takes the
+#: field's default. Every ExperimentConfig runs each field through its parser
+#: and its requirement, however it was built; ``coefficient`` is checked by
+#: build_coefficient
 _KEYS = (
-    ("coefficient", "coefficient", str),
-    ("params", "params", _list_of(float)),
-    ("T", "sde_horizon", float),
-    ("x0", "x0", float),
-    ("resolutions", "resolutions", _list_of(_integer)),
-    ("ref_resolution", "ref_resolution", _integer),
-    ("p", "p", float),
-    ("samples", "samples", _integer),
-    ("master_seed", "master_seed", _integer),
-    ("scheme", "scheme", str),
+    ("coefficient", "coefficient", str, lambda v: True, ""),
+    ("params", "params", _list_of(float), lambda v: all(map(math.isfinite, v)),
+     "must be finite"),
+    ("T", "sde_horizon", float, lambda v: math.isfinite(v) and v > 0,
+     "must be positive and finite"),
+    ("x0", "x0", float, math.isfinite, "must be finite"),
+    ("resolutions", "resolutions", _ladder, lambda v: len(v) > 0 and v[0] >= 1,
+     "must be at least one integer, each >= 1"),
+    ("ref_resolution", "ref_resolution", _integer, lambda v: v >= 1, "must be >= 1"),
+    ("p", "p", float, lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1"),
+    ("samples", "samples", _integer, lambda v: v >= 1, "must be >= 1"),
+    ("master_seed", "master_seed", _integer, lambda v: 0 <= v < 2**64,
+     "must lie in [0, 2^64) (one Philox key word)"),
+    ("scheme", "scheme", str, lambda v: v in _SCHEMES,
+     f"must be one of {', '.join(_SCHEMES)}"),
 )
 
 
@@ -111,50 +125,26 @@ class ExperimentConfig:
     scheme: str = SCHEME_TIME_CHANGE
 
     def __post_init__(self):
-        for key, name, parse in _KEYS:
+        for key, name, parse, ok, need in _KEYS:
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, parse(value))
+                value = parse(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: malformed value {value!r} ({exc})") from exc
-        res = tuple(sorted(set(self.resolutions)))
-        object.__setattr__(self, "resolutions", res)
-        if not (np.isfinite(self.sde_horizon) and self.sde_horizon > 0):
-            raise ConfigError(f"T: must be positive and finite, got {self.sde_horizon}")
-        if not all(np.isfinite(self.params)):
-            raise ConfigError(f"params: must be finite, got {list(self.params)}")
-        if not np.isfinite(self.x0):
-            raise ConfigError(f"x0: must be finite, got {self.x0}")
-        if not res:
-            raise ConfigError("resolutions: at least one resolution is required")
-        if any(n < 1 for n in res):
-            raise ConfigError(f"resolutions: must be >= 1, got {res}")
-        if self.ref_resolution < 1:
-            raise ConfigError(f"ref_resolution: must be >= 1, got {self.ref_resolution}")
-        for n in res:
+            if not ok(value):
+                raise ConfigError(f"{key}: {need}, got {value!r}")
+            object.__setattr__(self, name, value)
+        for n in self.resolutions:
             if self.ref_resolution % n != 0:
                 raise ConfigError(
                     f"resolutions: n={n} does not divide ref_resolution="
                     f"{self.ref_resolution}"
                 )
-        if not (np.isfinite(self.p) and self.p >= 1):
-            raise ConfigError(f"p: must be finite and >= 1, got {self.p}")
-        if self.samples < 1:
-            raise ConfigError(f"samples: must be >= 1, got {self.samples}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(
-                f"master_seed: must lie in [0, 2^64) (one Philox key word), "
-                f"got {self.master_seed}"
-            )
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(
-                f"scheme: unknown value {self.scheme!r}; choose one of "
-                f"{', '.join(_SCHEMES)}"
-            )
 
     def build_coefficient(self) -> DiffusionCoefficient:
         """The configured coefficient. Raises ConfigError for params its kind
-        refuses, and for a T whose first driver numpy cannot index."""
+        refuses, for a T whose first driver numpy cannot index, and for a
+        ref_resolution whose first driver outgrows physical memory."""
         try:
             coeff = builtin_coefficient(self.coefficient, self.params)
         except ValueError as exc:
@@ -167,6 +157,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"T: {self.sde_horizon} needs a driver of Brownian horizon {horizon:g} "
                 f"at ref_resolution {self.ref_resolution}, more knots than numpy can index"
+            )
+        # 16 bytes a knot: the driver's values and a clock or path on them
+        need, memory = 16 * (self.ref_resolution * horizon + 1), _physical_memory()
+        if need > memory:
+            raise ConfigError(
+                f"ref_resolution: {self.ref_resolution} needs a driver of "
+                f"{need / 2**30:.4g} GiB (16 bytes a knot to Brownian horizon "
+                f"{horizon:g}), more than the {memory / 2**30:.4g} GiB of physical memory"
             )
         return coeff
 
@@ -192,19 +190,19 @@ class ExperimentConfig:
         return coeff
 
     def to_mapping(self) -> dict:
-        mapping = {key: getattr(self, name) for key, name, _ in _KEYS}
+        mapping = {key: getattr(self, name) for key, name, *_ in _KEYS}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in mapping.items()}
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "ExperimentConfig":
-        keys = {key for key, _, _ in _KEYS}
+        keys = {key for key, *_ in _KEYS}
         unknown = set(mapping) - keys
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         missing = keys - set(mapping) - {"scheme"}
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(sorted(missing))}")
-        return cls(**{name: mapping[key] for key, name, _ in _KEYS if key in mapping})
+        return cls(**{name: mapping[key] for key, name, *_ in _KEYS if key in mapping})
 
 
 @dataclass(frozen=True)
@@ -220,6 +218,14 @@ class SampleResult:
 
     sup_errors: np.ndarray
     bound_excess: Optional[float] = None
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:

@@ -340,20 +340,27 @@ class TestCmdDumpPath:
             assert float(sv) == v
 
     def test_sample_out_of_range(self, config_file, tmp_path, capsys):
-        code = main(
-            ["dump-path", str(config_file), "--sample", "12", "--n", "16",
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
-        assert "sample" in capsys.readouterr().err
+        out = tmp_path / "o"
+        for sample in ("12", "-1"):
+            code = main(
+                ["dump-path", str(config_file), "--sample", sample, "--n", "16",
+                 "--out", str(out)]
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: --sample: {sample} outside the configured range [0, 12)"
+            )
+            assert not out.exists()
 
     def test_n_not_in_ladder(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
         code = main(
-            ["dump-path", str(config_file), "--sample", "0", "--n", "24",
-             "--out", str(tmp_path / "o")]
+            ["dump-path", str(config_file), "--sample", "0", "--n", "24", "--out", str(out)]
         )
         assert code == 2
-        assert "ladder" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --n: 24 ") and "ladder" in err
+        assert not out.exists()
 
     def test_ref_resolution_allowed(self, config_file, tmp_path):
         code = main(
@@ -485,9 +492,13 @@ class TestRefusedBeforeAnySample:
             err = capsys.readouterr().err
             assert err.startswith("config error: T: ") and "ref_resolution 32" in err
 
-    def test_limit_is_numpy_indexing(self, tmp_path):
+    def test_limit_is_numpy_indexing(self, tmp_path, monkeypatch):
         # smooth-sin (2, 1) draws 1.1 * 9 * T + 2 / 4 Brownian time at
-        # ref_resolution 32: half the intp limit passes, twice it does not
+        # ref_resolution 32: half the intp limit passes, twice it does not;
+        # memory is taken as unbounded, so only the index limit is seen
+        import tcsde.experiment as exp
+
+        monkeypatch.setattr(exp, "_physical_memory", lambda: float("inf"))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(_config_text(resolutions="4, 8", ref_resolution="32"))
         mapping = parse_config_file(cfg)
@@ -495,6 +506,36 @@ class TestRefusedBeforeAnySample:
         ExperimentConfig.from_mapping({**mapping, "T": half}).build_coefficient()
         with pytest.raises(ConfigError, match="^T: "):
             ExperimentConfig.from_mapping({**mapping, "T": 4 * half}).build_coefficient()
+
+    @pytest.mark.parametrize("scheme", ["time-change", "euler-maruyama", "compare"])
+    def test_driver_larger_than_memory(self, tmp_path, capsys, monkeypatch, scheme):
+        import tcsde.experiment as exp
+
+        monkeypatch.setattr(exp, "_physical_memory", lambda: 2.0**30)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(resolutions="4, 8", ref_resolution=str(2**40),
+                                    scheme=scheme))
+        for argv in _run_and_dump(cfg, tmp_path / "o", n=8):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: ref_resolution: {2**40} needs a driver ")
+            assert "more than the 1 GiB of physical memory" in err
+            assert not (tmp_path / "o").exists()
+
+    def test_limit_is_16_bytes_a_knot(self, tmp_path, monkeypatch):
+        # the first driver holds ref_resolution * horizon + 1 knots
+        import tcsde.experiment as exp
+
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(resolutions="4, 8", ref_resolution="32"))
+        config = ExperimentConfig.from_mapping(parse_config_file(cfg))
+        coeff = config.build_coefficient()
+        need = 16 * (32 * exp._driver_horizon(config, coeff, "time-change") + 1)
+        monkeypatch.setattr(exp, "_physical_memory", lambda: need)
+        config.build_coefficient()
+        monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="^ref_resolution: 32 needs a driver "):
+            config.build_coefficient()
 
 
 class TestOutputs:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import multiprocessing
 import pickle
+import re
 import warnings
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from strategies import SEED
 from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ConfigError, ExperimentError, TcsdeError
 from tcsde.experiment import (
+    _KEYS,
     SCHEME_COMPARE,
     SCHEME_EULER_MARUYAMA,
     SCHEME_TIME_CHANGE,
@@ -100,7 +103,7 @@ class TestConfigValidation:
         assert cfg.resolutions == (16, 32, 64)
 
     def test_non_divisor_rejected(self):
-        with pytest.raises(ConfigError, match="resolutions"):
+        with pytest.raises(ConfigError, match="^resolutions: n=48 does not divide"):
             _config(resolutions=(48,), ref_resolution=2**14)
 
     def test_ref_headroom_enforced_at_run(self):
@@ -109,26 +112,25 @@ class TestConfigValidation:
             run_experiment(cfg)
 
     def test_bad_fields(self):
-        with pytest.raises(ConfigError, match="T"):
-            _config(sde_horizon=0.0)
-        with pytest.raises(ConfigError, match="p"):
-            _config(p=0.5)
-        with pytest.raises(ConfigError, match="samples"):
-            _config(samples=0)
-        with pytest.raises(ConfigError, match="master_seed"):
-            _config(master_seed=-3)
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="^T: "):
-                _config(sde_horizon=value)
-            with pytest.raises(ConfigError, match="^p: "):
-                _config(p=value)
-            with pytest.raises(ConfigError, match="^params: "):
-                _config(params=(2.0, value))
-        with pytest.raises(ConfigError, match="^master_seed: "):
-            _config(master_seed=2**64)
+        # an out-of-range value is refused as "<key>: <requirement>, got <value>"
+        bad = [
+            ("T", "sde_horizon", 0.0),
+            ("p", "p", 0.5),
+            ("samples", "samples", 0),
+            ("master_seed", "master_seed", -3),
+            ("master_seed", "master_seed", 2**64),
+            ("resolutions", "resolutions", ()),
+            ("resolutions", "resolutions", (0, 16)),
+            ("ref_resolution", "ref_resolution", 0),
+            ("scheme", "scheme", "midpoint"),
+        ]
+        for value in (float("nan"), float("inf"), float("-inf")):
+            bad += [("T", "sde_horizon", value), ("p", "p", value),
+                    ("params", "params", (2.0, value)), ("x0", "x0", value)]
+        for key, field, value in bad:
+            with pytest.raises(ConfigError, match=f"^{key}: .*, got {re.escape(repr(value))}$"):
+                _config(**{field: value})
         assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
-        with pytest.raises(ConfigError, match="scheme"):
-            _config(scheme="midpoint")
         mapping = _config().to_mapping()
         # numbers, as a mapping read back from JSON holds them: one with a
         # fractional part is refused, never truncated
@@ -158,6 +160,11 @@ class TestConfigValidation:
         assert type(cfg.samples) is int
         direct = _config(samples=12.0).samples
         assert direct == 12 and type(direct) is int
+
+    def test_every_field_has_a_key(self):
+        # a field missing from _KEYS would skip its parser and its check
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [name for _, name, *_ in _KEYS] == fields
 
     def test_unknown_coefficient_surfaces_field(self):
         cfg = _config(coefficient="does-not-exist", params=(1.0,))
