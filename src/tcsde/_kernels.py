@@ -14,15 +14,15 @@ Kernels:
     start-up passes cost more than the loop. Both add in the order of the
     numpy-scalar loop they replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
-    reads the increments and the knot times k/n once as lists, so no step
-    boxes a numpy scalar. Each step is the IEEE double arithmetic, with
-    libm's pow, of the numpy-scalar loop it replaced, so its bytes are that
-    loop's, which the tests keep as its oracle;
+    reads the increments, and the knot times k/n for TIME_KINDS only, once
+    as lists, so no step boxes a numpy scalar. Each step is the IEEE double
+    arithmetic, with libm's pow, of the numpy-scalar loop it replaced, so
+    its bytes are that loop's, which the tests keep as its oracle;
   * exact sup of |A - B| for two piecewise-linear paths: the difference is
     linear between the knots of both, so its sup is at a knot or the right
-    end. Each path is read at the other's knots with pl_eval_many's
-    arithmetic, with no union grid; a dense path's, in blocks of whole
-    intervals of the coarse one, so the temporaries stay cache-sized.
+    end, read on Python floats. Each path is read at the other's knots with
+    pl_eval_many's arithmetic, with no union grid; a dense path's, in blocks
+    of whole intervals of the coarse one, so the temporaries stay cache-sized.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ KIND_SMOOTH_SIN = 1
 KIND_TIME_SMOOTH = 2
 KIND_HOLDER_ROOT = 3
 KIND_STEP_MOLLIFIED = 4
+#: The kinds whose sigma reads t; every other kind's ignores it.
+TIME_KINDS = frozenset({KIND_TIME_SMOOTH})
 
 OK = 0
 EXHAUSTED = 1
@@ -123,7 +125,7 @@ def _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol):
     # The Picard sweep of clock_knots_kind; returns (buffer, k, status) with
     # the knots 0..k valid, as _clock_seq does.
     sigma = sigma_of(kind, p, VECTOR_OPS)
-    timed = kind == KIND_TIME_SMOOTH
+    timed = kind in TIME_KINDS
     last = driver.shape[0] - 1
     clock = np.empty(last + 1, dtype=np.float64)
     clock[0] = 0.0
@@ -195,7 +197,7 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     2 + sin(x + t) clock with T = 1: n = 1024, loop 0.98-1.38 ms, sweep
     1.15-1.55 ms; n = 2048, loop 1.93-2.96 ms, sweep 1.66-2.33 ms.
     """
-    if kind == KIND_TIME_SMOOTH and 1.0 / inv_n < CLOCK_LOOP_BELOW:
+    if kind in TIME_KINDS and 1.0 / inv_n < CLOCK_LOOP_BELOW:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
     return _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol)
 
@@ -207,13 +209,18 @@ def em_values_kind(kind, p, increments, n, x0):
     under np.errstate. Each k/n from numpy's division equals Python's.
     """
     sigma = sigma_of(kind, p, SCALAR_OPS)
-    times = (np.arange(increments.shape[0]) / float(n)).tolist()
+    dws = increments.tolist()
     x = float(x0)
     values = [x]
     append = values.append
-    for t, dw in zip(times, increments.tolist()):
-        x = x + sigma(t, x) * dw
-        append(x)
+    if kind in TIME_KINDS:
+        for t, dw in zip((np.arange(len(dws)) / float(n)).tolist(), dws):
+            x = x + sigma(t, x) * dw
+            append(x)
+    else:
+        for dw in dws:
+            x = x + sigma(0.0, x) * dw
+            append(x)
     return np.array(values, dtype=np.float64)
 
 
@@ -237,20 +244,20 @@ def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.
 SUP_BLOCK = 16384
 
 
-def _max_abs_diff_at(q, y, kt, ky):
-    # max over i of |y[i] - P(q[i])|, P the piecewise-linear path (kt, ky),
-    # for ascending q >= kt[0]; 0.0 when q is empty. Each P(q[i]) is the float
-    # pl_eval_many gives: the same interval, theta and interpolation.
+def _max_abs_diff_at(q, y, kt, ky, best):
+    # max of best and every |y[i] - P(q[i])| (NaN if any is), P the
+    # piecewise-linear path (kt, ky), for ascending q >= kt[0]. Each P(q[i]) is
+    # the float pl_eval_many gives: the same interval, theta and interpolation.
     m = int(np.searchsorted(q, kt[-1], side="left"))
     if m <= kt.shape[0]:
-        return np.abs(y - pl_eval_many(kt, ky, q)).max(initial=0.0)
+        return np.abs(y - pl_eval_many(kt, ky, q)).max(initial=best)
     # Many times on few knots (the reference's knots read in a ladder path):
     # place the knots among the times, which halves the time of m searches,
     # and spread each interval's values over its times in blocks of whole
     # intervals, at most SUP_BLOCK times unless one interval holds more, so the
     # temporaries stay in L2; full-length ones, freed to the OS, fault in fresh
     # pages on every call. Times at or past the last knot read ky[-1].
-    best = np.max(np.abs(y[m:] - ky[-1]), initial=0.0)
+    best = np.abs(y[m:] - ky[-1]).max(initial=best)
     edges = np.searchsorted(q, kt, side="left")
     dt, dy = np.diff(kt), np.diff(ky)
     i = 0
@@ -269,6 +276,14 @@ def _max_abs_diff_at(q, y, kt, ky):
     return best
 
 
+def _read_at(kt, ky, k, t):
+    # pl_eval_many(kt, ky, [t])[0] on scalars, k the count of knots <= t
+    if k >= kt.shape[0]:
+        return float(ky[-1])
+    (t0, t1), (y0, y1) = kt[k - 1 : k + 1].tolist(), ky[k - 1 : k + 1].tolist()
+    return y0 + (t - t0) / (t1 - t0) * (y1 - y0)
+
+
 def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:
     """Exact sup over [0, t_hi] of |A - B| for piecewise-linear A, B.
 
@@ -279,8 +294,6 @@ def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:
     """
     ka = int(np.searchsorted(ta, t_hi, side="right"))
     kb = int(np.searchsorted(tb, t_hi, side="right"))
-    at_hi = np.array([t_hi], dtype=np.float64)
-    d_hi = np.abs(pl_eval_many(ta, ya, at_hi) - pl_eval_many(tb, yb, at_hi))[0]
-    d_a = _max_abs_diff_at(ta[:ka], ya[:ka], tb, yb)
-    d_b = _max_abs_diff_at(tb[:kb], yb[:kb], ta, ya)
-    return float(np.max((d_hi, d_a, d_b)))
+    best = abs(_read_at(ta, ya, ka, t_hi) - _read_at(tb, yb, kb, t_hi))
+    best = _max_abs_diff_at(ta[:ka], ya[:ka], tb, yb, best)
+    return float(_max_abs_diff_at(tb[:kb], yb[:kb], ta, ya, best))

@@ -43,10 +43,12 @@ def gaussian_increments(
     # a list holding a word >= 2^63 would go through float64 and lose bits
     key = np.array([master_seed, sample_index], dtype=np.uint64)
     raw = Philox(counter=[0, 0, 0, purpose], key=key).random_raw(count)
-    # top 53 bits, centered: uniforms on the open interval (0, 1), so the
-    # inverse-CDF transform never produces an infinity
+    # top 53 bits, cast exactly and centered: uniforms on the open interval
+    # (0, 1), so the inverse-CDF transform never produces an infinity
     raw >>= np.uint64(11)
-    u = np.add(raw, 0.5, out=out)
+    u = np.empty(count, dtype=np.float64) if out is None else out
+    u[...] = raw
+    u += 0.5
     u *= _U53
     ndtri(u, out=u)
     u *= np.sqrt(1.0 / n)
@@ -137,7 +139,8 @@ def generate_path(
         incr = gaussian_increments(master_seed, sample_index, count, n, purpose,
                                    out=values[1:])
         np.cumsum(incr, out=values[1:])
-        values[1:] += x0
+        if x0:  # no partial sum is -0.0, so adding a zero changes no bit
+            values[1:] += x0
     return BrownianPath(
         n=n,
         values=values,

@@ -412,17 +412,26 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> dict
 
     errs = np.stack([r.sup_errors for r in results])
     p = config.p
-    # a large p can overflow or underflow errs**p: such a level is refused,
-    # not warned about, when its mean or spread is lost to zero or infinity
+    # A large p can overflow or underflow errs**p, and so can tiny or huge
+    # errors: where that loses a level's L^p mean or stderr, it is read again
+    # from errs / max and scaled back. It is refused, not warned about, if that
+    # fails too, or a positive error's scaled power is below eps, so that it
+    # drops out of the mean in rounding.
+    passes = []
     with np.errstate(all="ignore"):
-        powered = _power(errs, p)
-        lp_mean = _power(np.mean(powered, axis=0), 1.0 / p)
-        m = config.samples
-        se_pow = np.std(powered, axis=0, ddof=1) / np.sqrt(m)
-        # delta method: d/dm m^(1/p) = (1/p) m^(1/p - 1)
-        stderr = np.where(lp_mean > 0, _power(lp_mean, 1.0 - p) / p * se_pow, 0.0)
-        lost = (np.any(errs > 0, axis=0) & (lp_mean == 0)) | ~np.isfinite(lp_mean + stderr)
-        lost |= (se_pow == 0) & (powered.max(axis=0) > powered.min(axis=0))
+        for scale in (1.0, errs.max(axis=0)):
+            powered = _power(errs / scale, p)
+            lp_mean = _power(np.mean(powered, axis=0), 1.0 / p)
+            se_pow = np.std(powered, axis=0, ddof=1) / np.sqrt(config.samples)
+            # delta method: d/dm m^(1/p) = (1/p) m^(1/p - 1)
+            stderr = np.where(lp_mean > 0, _power(lp_mean, 1.0 - p) / p * se_pow, 0.0) * scale
+            lp_mean = lp_mean * scale
+            lost = (np.any(errs > 0, axis=0) & (lp_mean == 0)) | ~np.isfinite(lp_mean + stderr)
+            lost |= (se_pow == 0) & (powered.max(axis=0) > powered.min(axis=0))
+            passes.append((lp_mean, stderr, lost))
+    (lp_mean, stderr, lost), (lp_s, se_s, lost_s) = passes
+    lp_mean, stderr = np.where(lost, lp_s, lp_mean), np.where(lost, se_s, stderr)
+    lost &= lost_s | np.any((errs > 0) & (powered < 2.0**-52), axis=0)
     if lost.any():
         n = config.resolutions[int(np.argmax(lost))]
         raise ConfigError(

@@ -3,8 +3,8 @@
 Everything here is deliberately written straight-line in plain Python (plus
 np.interp, numpy's own interpolator) without reusing any library internals,
 so agreement with the package is a genuine dual-route check. Three
-exceptions read through the package: pl_sup_union reads paths with its
-pl_eval_many so that its grid route can be compared bit for bit,
+exceptions read through the package: pl_sup_union and pl_sup_three_reads
+read paths with its pl_eval_many so that they can be compared bit for bit,
 check_contract samples a coefficient with its sigma_of over VECTOR_OPS, the
 formula the kernels run, against the Hoelder constant the test gives it, and
 the numpy-scalar loops the package replaced by loops over Python floats,
@@ -145,6 +145,21 @@ def pl_sup_union(ta, ya, tb, yb, t_hi):
     va = pl_eval_many(ta, ya, grid)
     vb = pl_eval_many(tb, yb, grid)
     return float(np.max(np.abs(va - vb)))
+
+
+def pl_sup_three_reads(ta, ya, tb, yb, t_hi):
+    """Sup of |A - B| as pl_sup_abs_diff took it before it read t_hi on
+    Python floats: both paths read by pl_eval_many at t_hi, each path at the
+    other's knots up to t_hi, and np.max over the three maxima, so a NaN in
+    any of them is the result. Unlike the merge walk, t_hi may lie past
+    either path's last knot, where that path reads its last value."""
+    ka = int(np.searchsorted(ta, t_hi, side="right"))
+    kb = int(np.searchsorted(tb, t_hi, side="right"))
+    at_hi = np.array([t_hi], dtype=np.float64)
+    d_hi = np.abs(pl_eval_many(ta, ya, at_hi) - pl_eval_many(tb, yb, at_hi))[0]
+    d_a = np.abs(ya[:ka] - pl_eval_many(tb, yb, ta[:ka])).max(initial=0.0)
+    d_b = np.abs(yb[:kb] - pl_eval_many(ta, ya, tb[:kb])).max(initial=0.0)
+    return float(np.max((d_hi, d_a, d_b)))
 
 
 def pl_sup_merge(ta, ya, tb, yb, t_hi):

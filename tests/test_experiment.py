@@ -471,6 +471,47 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="^p: "):
                 run_experiment(cfg, jobs=1)
 
+    def test_tiny_errors_are_not_blamed_on_p(self):
+        # at T = 1e-300 the errors are about 1e-299: errs**2 and its spread
+        # underflow, but p = 2 is not what loses them. The run ends at the
+        # error floor instead, as a runtime error
+        cfg = _config(sde_horizon=1e-300, resolutions=(16, 32), ref_resolution=128, samples=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TcsdeError, match="error floor") as err:
+                run_experiment(cfg, jobs=1)
+        assert not isinstance(err.value, ConfigError)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+    def test_scaled_errors_scale_the_report(self, monkeypatch, scale):
+        # errors scaled by 2^-600 or 2^600, whose squares leave the float64
+        # range, report the L^p means and stderrs of the unscaled errors times
+        # the scale, and the same order; the floor is lifted for the tiny ones
+        import tcsde.experiment as exp
+
+        rng = np.random.default_rng(17)
+        errors = rng.uniform(0.5, 1.0, (8, 3)) / np.array([1.0, 2.0, 4.0])
+        cfg = _config(resolutions=(2, 4, 8), ref_resolution=32, samples=8)
+        monkeypatch.setattr(exp, "ERROR_FLOOR", 0.0)
+
+        def run(factor, p=2.0):
+            def synthetic(config, coeff, sample_index):
+                return exp.SampleResult(errors[sample_index] * factor, bound_excess=0.0)
+
+            monkeypatch.setattr(exp, "_tc_sample", synthetic)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return run_experiment(replace(cfg, p=p), jobs=1)
+
+        plain, scaled = run(1.0), run(scale)
+        for a, b in zip(plain["per_resolution"], scaled["per_resolution"]):
+            assert b["mean_error"] == pytest.approx(a["mean_error"] * scale, rel=1e-14)
+            assert b["stderr"] == pytest.approx(a["stderr"] * scale, rel=1e-12)
+        assert scaled["fitted_order"] == pytest.approx(plain["fitted_order"], abs=1e-12)
+        # a p at which a scaled error's power drops out of the mean is refused
+        with pytest.raises(ConfigError, match="^p: "):
+            run(scale, p=1e6)
+
     def test_experiment_error_pickles_by_fields(self):
         err = pickle.loads(pickle.dumps(ExperimentError(3, "brownian", "synthetic")))
         assert type(err) is ExperimentError

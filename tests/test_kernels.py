@@ -26,7 +26,7 @@ import oracles
 from strategies import INSIDE, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
-from tcsde.diffusion import builtin_coefficient
+from tcsde.diffusion import _CORPUS, builtin_coefficient
 from tcsde.experiment import ExperimentConfig, strong_error_one_sample
 from tcsde.timechange import required_horizon
 
@@ -366,6 +366,43 @@ class TestEmLoop:
         _em_both(c.kernel_kind, c.kernel_params, increments, n, x0)
 
 
+#: every kind the kernels know, and the corpus names that build each
+KINDS = {v for k, v in vars(_kernels).items() if k.startswith("KIND_")}
+_KIND_OF = {name: kind for name, (kind, *_) in _CORPUS.items()}
+
+
+def test_every_kind_has_a_corpus_name():
+    # so the test below covers every kind outside TIME_KINDS; and each kind
+    # inside does read t
+    assert set(_KIND_OF.values()) == KINDS
+    for kind in _kernels.TIME_KINDS:
+        sigma = _kernels.sigma_of(kind, [2.0, 1.0, 0.5, 0.0], _kernels.SCALAR_OPS)
+        assert sigma(0.0, 0.0) != sigma(1.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "name", sorted(n for n, k in _KIND_OF.items() if k not in _kernels.TIME_KINDS)
+)
+def test_sigma_ignores_t_outside_time_kinds(name, data):
+    # em_values_kind steps a kind outside TIME_KINDS at t = 0.0, and the clock
+    # takes one Picard pass a window for it, so its sigma must give the bits
+    # at t = 0.0 that it gives at any t, over both ops
+    kind = _KIND_OF[name]
+    params = np.array(data.draw(INSIDE[name]), dtype=np.float64)
+    xs = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+    ts = data.draw(st.lists(st.floats(0.0, 1e6), min_size=len(xs), max_size=len(xs)))
+    scalar = _kernels.sigma_of(kind, params, _kernels.SCALAR_OPS)
+    vector = _kernels.sigma_of(kind, params, _kernels.VECTOR_OPS)
+    with np.errstate(all="ignore"):
+        at_zero = vector(0.0, np.array(xs))
+        at_t = vector(np.array(ts), np.array(xs))
+    assert np.asarray(at_zero, dtype=np.float64).tobytes() == at_t.tobytes()
+    for x, t in zip(xs, ts):
+        assert np.float64(scalar(0.0, x)).tobytes() == np.float64(scalar(t, x)).tobytes()
+
+
 _EDGE_FLOATS = st.one_of(
     st.floats(), st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
 )
@@ -596,6 +633,50 @@ class TestSupLanes:
         assert len(calls) == 3 * len(config.resolutions) * config.samples
         for args, got in calls:
             assert got == oracles.pl_sup_merge(*args)
+
+    def test_right_end_edge_cases(self):
+        # t_hi at 0 and 1 (knots of both), 0.5 (of A only), 0.75 and 1.5 (of B
+        # only), 1.25 (of neither), 2 (A's last knot, past B's) and 3 (past
+        # both), on four-knot and one-knot paths in both orders: the scalar
+        # read of t_hi gives the bytes of pl_eval_many's read that it replaced
+        a = (np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.0, 1.0, -2.0, 3.0]))
+        b = (np.array([0.0, 0.75, 1.0, 1.5]), np.array([0.5, -1.0, 2.5, 0.25]))
+        minus = (_ONE[0], -_ONE[1])
+        for pair in (a + b, b + a, a + _ONE, _ONE + b, _ONE + minus, minus + _ONE):
+            for t_hi in (0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0):
+                got = _kernels.pl_sup_abs_diff(*pair, t_hi)
+                want = oracles.pl_sup_three_reads(*pair, t_hi)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                if t_hi <= min(pair[0][-1], pair[2][-1]):
+                    assert got == oracles.pl_sup_merge(*pair, t_hi)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_nan_anywhere_in_either_path(self, block):
+        # a NaN put in turn at every value of either path, before t_hi, at the
+        # ends of the interval that holds it, and after it: the sup is NaN
+        # exactly for the values up to that interval's right end, as the
+        # three-read sup was, and has its bytes elsewhere. t_hi lies on a knot
+        # of the dense path, between two, and at the end of both. The dense
+        # path is read in blocks, so the running max also goes through the
+        # many-on-few route
+        rng = np.random.default_rng(16)
+        t_fine, y_fine = _random_pl(rng, 40)
+        coarse = (t_fine[::8], y_fine[::8] + rng.normal(0.0, 1.0, 6))
+        fine = (t_fine, y_fine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "SUP_BLOCK", block)
+            for t_hi in (t_fine[20], (t_fine[21] + t_fine[22]) / 2, t_fine[-1]):
+                for pair in (coarse + fine, fine + coarse):
+                    for side in (1, 3):
+                        k = int(np.searchsorted(pair[side - 1], t_hi, side="right"))
+                        for i in range(pair[side].size):
+                            y = pair[side].copy()
+                            y[i] = np.nan
+                            bad = pair[:side] + (y,) + pair[side + 1 :]
+                            got = _kernels.pl_sup_abs_diff(*bad, t_hi)
+                            want = oracles.pl_sup_three_reads(*bad, t_hi)
+                            assert math.isnan(got) == math.isnan(want) == (i <= k)
+                            assert math.isnan(got) or got == want
 
     def test_sup_attained_at_knot(self):
         ta = np.array([0.0, 1.0])
