@@ -1,8 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 Every coefficient is a builtin kind: a small integer plus its params. Each
-kind's formula is written once, in sigma_of; the interpreted loops run it on
-Python floats and the vectorized routes on arrays, with libm's pow in both.
+kind's formula is written once, in FORMULAS, and compiled once into sigma_of,
+which the vectorized routes run on arrays, and into each interpreted loop's
+step, inlined; params are arguments, and pow is libm's in both.
 
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
@@ -15,9 +16,10 @@ Kernels:
     numpy-scalar loop they replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
     reads the increments, and the knot times k/n for TIME_KINDS only, once
-    as lists, so no step boxes a numpy scalar. Each step is the IEEE double
-    arithmetic, with libm's pow, of the numpy-scalar loop it replaced, so
-    its bytes are that loop's, which the tests keep as its oracle;
+    as lists, so no step boxes a numpy scalar or calls more than sin, pow
+    and abs. Each step is the IEEE double arithmetic, with libm's pow, of
+    the numpy-scalar loop it replaced, so its bytes are that loop's, which
+    the tests keep as its oracle;
   * exact sup of |A - B| for two piecewise-linear paths: the difference is
     linear between the knots of both, so its sup is at a knot or the right
     end, read on Python floats. Each path is read at the other's knots with
@@ -27,8 +29,10 @@ Kernels:
 
 from __future__ import annotations
 
-import math
+import ast
+import functools
 from itertools import chain
+from math import inf, pow, sin
 
 import numpy as np
 
@@ -37,8 +41,16 @@ KIND_SMOOTH_SIN = 1
 KIND_TIME_SMOOTH = 2
 KIND_HOLDER_ROOT = 3
 KIND_STEP_MOLLIFIED = 4
+#: Each kind's sigma(t, x), in its params a, b, c, d and sin, pow, min, max.
+FORMULAS = {
+    KIND_CONSTANT: "a + 0.0 * x",
+    KIND_SMOOTH_SIN: "a + b * sin(x)",
+    KIND_TIME_SMOOTH: "a + b * sin(x + t)",
+    KIND_HOLDER_ROOT: "a + min(pow(abs(x - d), c), b)",
+    KIND_STEP_MOLLIFIED: "a + (b - a) * min(max((x - (c - 0.5 * d)) / d, 0.0), 1.0)",
+}
 #: The kinds whose sigma reads t; every other kind's ignores it.
-TIME_KINDS = frozenset({KIND_TIME_SMOOTH})
+TIME_KINDS = frozenset(k for k, f in FORMULAS.items() if "t" in compile(f, "", "eval").co_names)
 
 OK = 0
 EXHAUSTED = 1
@@ -59,59 +71,75 @@ def _max(u, v):
 #: rule (the second wins only if strictly smaller or larger, so a NaN or a
 #: signed zero comes back from the same position), without the builtins'
 #: generic iteration on every call.
-SCALAR_OPS = (math.sin, math.pow, _min, _max)
+SCALAR_OPS = (sin, pow, _min, _max)
 VECTOR_OPS = (np.sin, np.float_power, np.minimum, np.maximum)
+
+
+class _Conditionals(ast.NodeTransformer):
+    # Writes each min(u, v) and max(u, v) as _min's and _max's own conditional,
+    # v if v < u else u, with u bound once by a walrus (v, a name or a
+    # constant in every formula, is read twice).
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if getattr(node.func, "id", None) not in ("min", "max"):
+            return node
+        u, v = node.args
+        u = ast.NamedExpr(ast.Name(f"_u{id(u)}", ast.Store()), u)
+        test = ast.Compare(v, [ast.Lt() if node.func.id == "min" else ast.Gt()], [u])
+        return ast.IfExp(test, v, ast.Name(u.target.id, ast.Load()))
+
+
+@functools.cache
+def _compiled(kind, template, inline_min_max=True):
+    # template's function, kind's formula in place of SIGMA (for a loop on Python
+    # floats, min and max inlined), in this module's globals, which blame_sample reads
+    tree = ast.parse(template.replace("SIGMA", f"({FORMULAS[kind]})"))
+    tree = ast.fix_missing_locations(_Conditionals().visit(tree) if inline_min_max else tree)
+    exec(compile(tree, f"<{__name__} kind {kind}>", "exec"), globals(), namespace := {})
+    return namespace["compiled"]
+
+
+_SIGMA = "def compiled(sin, pow, min, max, a, b=0.0, c=0.0, d=0.0): return lambda t, x: SIGMA"
 
 
 def sigma_of(kind, p, ops):
     """sigma(t, x) of a builtin kind with params p, on SCALAR_OPS or VECTOR_OPS."""
-    sin, pow, min, max = ops
-    a = float(p[0])
-    if kind == KIND_CONSTANT:
-        return lambda t, x: a + 0.0 * x
-    b = float(p[1])
-    if kind == KIND_SMOOTH_SIN:
-        return lambda t, x: a + b * sin(x)
-    if kind == KIND_TIME_SMOOTH:
-        return lambda t, x: a + b * sin(x + t)
-    c, d = float(p[2]), float(p[3])
-    if kind == KIND_HOLDER_ROOT:
-        return lambda t, x: a + min(pow(abs(x - d), c), b)
-    lo = c - 0.5 * d
-    return lambda t, x: a + (b - a) * min(max((x - lo) / d, 0.0), 1.0)
+    return _compiled(kind, _SIGMA, False)(*ops, *map(float, p))
+
+
+# The clock's Euler recursion t[k+1] = t[k] + inv_n / sigma(t[k], xs[k])^2, up to
+# the first knot >= t_end or one whose sigma leaves [lo, hi]. A zero sigma^2
+# is an infinite step, as numpy's division gives it.
+_CLOCK_LOOP = """
+def compiled(xs, inv_n, t_end, lo, hi, a, b=0.0, c=0.0, d=0.0):
+    t = 0.0
+    clock = [t]
+    append = clock.append
+    for x in xs:
+        s = SIGMA
+        if s < lo or s > hi:
+            return clock, BOUNDS_BREACH
+        try:
+            t = t + inv_n / (s * s)
+        except ZeroDivisionError:
+            t = t + inf
+        append(t)
+        if t >= t_end:
+            return clock, OK
+    return clock, EXHAUSTED
+"""
 
 
 def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
-    # Euler recursion clock[k+1] = clock[k] + inv_n / sigma(clock[k], driver[k])^2
-    # on Python floats, stopping at the first knot with clock >= t_end. Returns
-    # (knots, k, status): on OK the knots 0..k; on BOUNDS_BREACH k is the bad
-    # step. A zero sigma^2 is an infinite step, as numpy's division gives it.
-    # The driver is read as lists of CLOCK_WINDOW knots, only as far as the
-    # clock goes: a ladder driver holds more than twice the knots its clock
-    # uses.
-    sigma = sigma_of(kind, p, SCALAR_OPS)
+    # _CLOCK_LOOP; returns (knots, k, status), on BOUNDS_BREACH k the bad
+    # step. It reads the driver as lists of CLOCK_WINDOW knots, only as far
+    # as the clock goes: a ladder driver holds over twice the knots it uses.
     head = driver[:-1]
     xs = chain.from_iterable(
         head[j : j + CLOCK_WINDOW].tolist() for j in range(0, head.shape[0], CLOCK_WINDOW)
     )
-    lo, hi = lo - tol, hi + tol
-    c = 0.0
-    clock = [c]
-    append = clock.append
-    status = EXHAUSTED
-    for x in xs:
-        s = sigma(c, x)
-        if s < lo or s > hi:
-            status = BOUNDS_BREACH
-            break
-        try:
-            c = c + inv_n / (s * s)
-        except ZeroDivisionError:
-            c = c + math.inf
-        append(c)
-        if c >= t_end:
-            status = OK
-            break
+    loop = _compiled(kind, _CLOCK_LOOP)
+    clock, status = loop(xs, inv_n, t_end, lo - tol, hi + tol, *map(float, p))
     return np.array(clock, dtype=np.float64), len(clock) - 1, status
 
 
@@ -193,35 +221,32 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     A time-dependent sigma (time-smooth) takes several passes per window:
     about 6 sigma evaluations per knot at n = 2^14, plus a start-up of
     one-knot passes that a short clock cannot amortize. So it runs the loop
-    when n < CLOCK_LOOP_BELOW. On 2 vCPUs, median per clock of a
-    2 + sin(x + t) clock with T = 1: n = 1024, loop 0.98-1.38 ms, sweep
-    1.15-1.55 ms; n = 2048, loop 1.93-2.96 ms, sweep 1.66-2.33 ms.
+    when n < CLOCK_LOOP_BELOW. On 2 vCPUs, median per 2 + sin(x + t) clock
+    with T = 1: n = 1024, loop 0.53-0.54 ms, sweep 1.93-1.96 ms; n = 2048,
+    loop 1.14-1.18 ms, sweep 2.02-2.11 ms.
     """
     if kind in TIME_KINDS and 1.0 / inv_n < CLOCK_LOOP_BELOW:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
     return _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol)
 
 
+_EM_LOOP = """
+def compiled(dws, ts, x, a, b=0.0, c=0.0, d=0.0):
+    if ts is None:
+        return [x] + [x := x + SIGMA * dw for dw in dws]
+    return [x] + [x := x + SIGMA * dw for t, dw in zip(ts, dws)]
+"""
+
+
 def em_values_kind(kind, p, increments, n, x0):
     """Euler-Maruyama iterates x[k+1] = x[k] + sigma(k/n, x[k]) * increments[k].
 
-    Python floats overflow to inf without a warning, as the vector routes do
-    under np.errstate. Each k/n from numpy's division equals Python's.
+    Only TIME_KINDS read the k/n, and numpy's division gives Python's. Python
+    floats overflow to inf without a warning, as arrays do under np.errstate.
     """
-    sigma = sigma_of(kind, p, SCALAR_OPS)
     dws = increments.tolist()
-    x = float(x0)
-    values = [x]
-    append = values.append
-    if kind in TIME_KINDS:
-        for t, dw in zip((np.arange(len(dws)) / float(n)).tolist(), dws):
-            x = x + sigma(t, x) * dw
-            append(x)
-    else:
-        for dw in dws:
-            x = x + sigma(0.0, x) * dw
-            append(x)
-    return np.array(values, dtype=np.float64)
+    ts = (np.arange(len(dws)) / float(n)).tolist() if kind in TIME_KINDS else None
+    return np.array(_compiled(kind, _EM_LOOP)(dws, ts, float(x0), *map(float, p)), dtype=np.float64)
 
 
 def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.ndarray:

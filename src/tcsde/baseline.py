@@ -30,13 +30,13 @@ def em_simulate(
 ) -> PiecewiseLinearPath:
     """Run the recursion over ceil(n*T) steps of the driver's increments.
 
-    The iterates sit at SDE times k/n, k = 0..ceil(n*T); the comparison path
-    is their linear interpolation.
+    At least one, so the path reaches T however small n*T is. The iterates
+    sit at SDE times k/n; the comparison path is their linear interpolation.
     """
     if sde_horizon <= 0:
         raise ValueError(f"sde_horizon must be positive, got {sde_horizon}")
     n = driver.n
-    steps = math.ceil(n * sde_horizon - 1e-9)
+    steps = max(1, math.ceil(n * sde_horizon - 1e-9))
     if driver.knot_count < steps + 1:
         raise ValueError(
             f"driver too short: {driver.knot_count} knots, need {steps + 1} "

@@ -1,7 +1,7 @@
 """Diffusion coefficients: the bounded-volatility contract and a test corpus.
 
 A coefficient is a corpus name with its params, and nothing else is given.
-The name picks a kernel kind (one formula in ``_kernels.sigma_of``) and a
+The name picks a kernel kind (one formula in ``_kernels.FORMULAS``) and a
 builder, which checks the params and derives from them the two facts the
 strong-rate theorem needs: the bounds 0 < C1 <= sigma <= C2 and the spatial
 Hoelder exponent beta, with the smoothness class that selects the

@@ -23,6 +23,7 @@ from tcsde.experiment import (
     ExperimentConfig,
     fit_loglog,
     run_experiment,
+    sample_paths,
     strong_error_one_sample,
 )
 
@@ -481,6 +482,18 @@ class TestRunExperiment:
             with pytest.raises(TcsdeError, match="error floor") as err:
                 run_experiment(cfg, jobs=1)
         assert not isinstance(err.value, ConfigError)
+
+    def test_em_path_reaches_tiny_horizon(self):
+        # n*T < 1e-9 makes ceil(n*T - 1e-9) zero; each level takes at least
+        # one step, so every path ends at or past T and the levels' errors
+        # differ (paths that all stop at t = 0 share one error)
+        cfg = _config(coefficient="holder-root", params=(1.0, 1.0, 0.6, 0.0), sde_horizon=1e-12,
+                      resolutions=(16, 32, 64), ref_resolution=1024, samples=4,
+                      scheme=SCHEME_EULER_MARUYAMA)
+        paths = sample_paths(cfg, cfg.validate_for_run(), 0)
+        assert all(path.t[-1] >= cfg.sde_horizon for path in paths.values())
+        errors = [level["mean_error"] for level in run_experiment(cfg, jobs=1)["per_resolution"]]
+        assert len(set(errors)) == len(errors)
 
     @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
     def test_scaled_errors_scale_the_report(self, monkeypatch, scale):

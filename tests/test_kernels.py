@@ -11,7 +11,8 @@ at window edges, on exhaustion and on a bounds breach anywhere in a window.
 The Euler-Maruyama loop on Python
 floats must write the bytes of the numpy-scalar loop it replaced
 (oracles.em_values_seq), and SCALAR_OPS' two-argument min and max must return
-what the builtins return.
+what the builtins return. A step with a kind's formula inlined, min and max
+written as conditionals, must give the bits of sigma_of over SCALAR_OPS.
 """
 
 import math
@@ -419,6 +420,54 @@ def test_two_argument_min_max_are_the_builtins(u, v, numpy_scalar):
     for mine, builtin in ((two_min, min), (two_max, max)):
         got, want = mine(u, v), builtin(u, v)
         assert repr(got) == repr(want) and got is want, (u, v, builtin)
+
+
+#: one step of a loop on Python floats, the kind's formula inlined as the
+#: loops inline it
+_STEP = """
+def compiled(t, x, a, b=0.0, c=0.0, d=0.0):
+    return SIGMA
+"""
+
+
+def _bits_or_error(f, *args):
+    # The bits f returns, or the error it raises: math.sin refuses an
+    # infinite x. Every NaN reads as one value, since an operation on two NaNs
+    # returns either one: CPython's generic and specialized float operations
+    # take the operands in either order.
+    try:
+        y = np.float64(f(*args))
+    except ValueError as exc:
+        return type(exc)
+    return "nan" if np.isnan(y) else y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(_KIND_OF))
+def test_inlined_step_is_sigma_of(name, data):
+    # each min and max written as its conditional gives the bits of sigma_of
+    # over SCALAR_OPS at signed zeros, NaNs, infinities and subnormals, so a
+    # swapped argument or comparison shows; and so does the EM loop's first
+    # step, taken at t = 0
+    kind = _KIND_OF[name]
+    params = [float(v) for v in data.draw(INSIDE[name])]
+    t, x, dw = data.draw(_EDGE_FLOATS), data.draw(_EDGE_FLOATS), data.draw(_EDGE_FLOATS)
+    sigma = _kernels.sigma_of(kind, params, _kernels.SCALAR_OPS)
+    step = _kernels._compiled(kind, _STEP)
+    assert _bits_or_error(step, t, x, *params) == _bits_or_error(sigma, t, x)
+    em = _bits_or_error(lambda: _kernels.em_values_kind(kind, params, np.array([dw]), 1, x)[1])
+    assert em == _bits_or_error(lambda: x + sigma(0.0, x) * dw)
+
+
+def test_sigma_of_compiles_once_per_kind():
+    # sigma_of runs for every clock and EM path: two calls with other params
+    # reuse one compiled formula
+    for kind in KINDS:
+        for ops in (_kernels.SCALAR_OPS, _kernels.VECTOR_OPS):
+            one = _kernels.sigma_of(kind, [2.0, 1.0, 0.5, 0.0], ops)
+            two = _kernels.sigma_of(kind, [3.0, 0.5, 0.7, 1.0], ops)
+            assert one.__code__ is two.__code__
 
 
 #: block sizes of the sup's many-on-few route: blocks that split the times
