@@ -10,9 +10,9 @@ Kernels:
     on the uniform Brownian grid, stopping at the first knot >= target time.
     Two routes give the same bytes. A Picard sweep runs cumsum passes over a
     window that slides with the last exact knot, resuming from it. A
-    time-dependent sigma at a resolution below CLOCK_LOOP_BELOW runs the
-    recursion as a loop over Python floats instead, where the sweep's
-    start-up passes cost more than the loop. Both add in the order of the
+    time-dependent sigma at a resolution below CLOCK_LOOP_BELOW (4096, timed
+    at clock_knots_kind) runs the recursion as a loop over Python floats,
+    where the sweep's start-up passes cost more. Both add in the order of the
     numpy-scalar loop they replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
     reads the increments, and the knot times k/n for TIME_KINDS only, once
@@ -146,7 +146,7 @@ def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
 #: Knots per pass of the clock's Picard sweep, and per list the loop reads.
 CLOCK_WINDOW = 4096
 #: A time-dependent clock at a resolution n below this runs the loop.
-CLOCK_LOOP_BELOW = 2048
+CLOCK_LOOP_BELOW = 4096
 
 
 def _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol):
@@ -221,9 +221,9 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     A time-dependent sigma (time-smooth) takes several passes per window:
     about 6 sigma evaluations per knot at n = 2^14, plus a start-up of
     one-knot passes that a short clock cannot amortize. So it runs the loop
-    when n < CLOCK_LOOP_BELOW. On 2 vCPUs, median per 2 + sin(x + t) clock
-    with T = 1: n = 1024, loop 0.53-0.54 ms, sweep 1.93-1.96 ms; n = 2048,
-    loop 1.14-1.18 ms, sweep 2.02-2.11 ms.
+    when n < CLOCK_LOOP_BELOW. On 2 vCPUs, medians per 2 + sin(x + t) clock
+    with T = 1 over 24 drivers, loop vs sweep: 0.75 vs 1.22 ms at n = 1024,
+    1.54 vs 1.82 at 2048, 3.53 vs 2.76 at 4096, 7.18 vs 4.74 at 8192.
     """
     if kind in TIME_KINDS and 1.0 / inv_n < CLOCK_LOOP_BELOW:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)

@@ -16,7 +16,7 @@ class ContractViolationError(TcsdeError):
 class PathExhaustedError(TcsdeError):
     """A Brownian driver ran out of knots before the clock reached its target.
 
-    Internal signal: callers extend the driver and retry.
+    A driver drawn to required_horizon never runs out; one that did fails its sample.
     """
 
 

@@ -28,7 +28,7 @@ from . import __version__, _kernels
 from .baseline import em_simulate
 from .brownian import generate_path
 from .diffusion import DiffusionCoefficient, builtin_coefficient
-from .errors import ConfigError, ExperimentError, PathExhaustedError, TcsdeError
+from .errors import ConfigError, ExperimentError, TcsdeError
 from .timechange import (
     PiecewiseLinearPath,
     SamplePath,
@@ -143,8 +143,8 @@ class ExperimentConfig:
 
     def build_coefficient(self) -> DiffusionCoefficient:
         """The configured coefficient. Raises ConfigError for params its kind
-        refuses, for a T whose first driver numpy cannot index, and for a
-        ref_resolution whose first driver outgrows physical memory."""
+        refuses, for a T whose driver numpy cannot index, and for a
+        ref_resolution whose driver outgrows physical memory."""
         try:
             coeff = builtin_coefficient(self.coefficient, self.params)
         except ValueError as exc:
@@ -229,7 +229,7 @@ def _physical_memory() -> float:
 
 
 def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:
-    """Brownian horizon of the driver sample_paths first draws for scheme."""
+    """Brownian horizon of the one driver sample_paths draws for scheme."""
     if scheme == SCHEME_EULER_MARUYAMA:
         return config.sde_horizon + 2.0 / min(config.resolutions)
     return required_horizon(coeff, config.sde_horizon, min(config.resolutions))
@@ -243,9 +243,8 @@ def sample_paths(
     All of them run on subsamples of one seeded driver at ref_resolution, so
     they share a single Brownian realization. Each scheme draws on its own
     Philox purpose; Euler-Maruyama reads only the driver's increments, so its
-    driver starts at 0. A time-change driver that runs out of knots before
-    every clock reaches T is extended and all clocks are rebuilt; extension
-    keeps the driver's prefix, so no path changes.
+    driver starts at 0. It is drawn once, to _driver_horizon, and each clock
+    is built once on it; a clock that outran it would fail the sample.
     """
     if not 0 <= sample_index < config.samples:
         raise ConfigError(
@@ -255,28 +254,21 @@ def sample_paths(
     t_end = config.sde_horizon
     ref = config.ref_resolution
     resolutions = (ref,) + config.resolutions
-    horizon = _driver_horizon(config, coeff, config.scheme)
     em = config.scheme == SCHEME_EULER_MARUYAMA
     purpose = PURPOSE_EULER_MARUYAMA if em else PURPOSE_TIME_CHANGE
-    fine = generate_path(
-        ref, horizon, 0.0 if em else config.x0, config.master_seed, sample_index, purpose
-    )
+    fine = generate_path(ref, _driver_horizon(config, coeff, config.scheme),
+                         0.0 if em else config.x0, config.master_seed, sample_index, purpose)
     if em:
         return {
             n: em_simulate(coeff, fine.subsample(ref // n), t_end, config.x0)
             for n in resolutions
         }
-    while True:
-        try:
-            paths = {}
-            for n in resolutions:
-                driver = fine.subsample(ref // n)
-                tc = build_time_change(driver, coeff, t_end)
-                paths[n] = SamplePath(driver=driver, time_change=tc, sde_horizon=t_end)
-            return paths
-        except PathExhaustedError:
-            horizon *= 1.5
-            fine = fine.extended(horizon)
+    paths = {}
+    for n in resolutions:
+        driver = fine.subsample(ref // n)
+        tc = build_time_change(driver, coeff, t_end)
+        paths[n] = SamplePath(driver=driver, time_change=tc, sde_horizon=t_end)
+    return paths
 
 
 def _sup(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:

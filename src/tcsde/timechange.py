@@ -65,9 +65,8 @@ def build_time_change(
 ) -> TimeChangePath:
     """Integrate the clock along the driver until it first reaches sde_horizon.
 
-    Raises PathExhaustedError when the driver has too few knots (the caller
-    extends it) and ContractViolationError when sigma leaves its bounds at a
-    knot the integration actually visits.
+    Raises PathExhaustedError when the driver has too few knots, and
+    ContractViolationError when sigma leaves its bounds at a knot it visits.
     """
     if sde_horizon <= 0:
         raise ValueError(f"sde_horizon must be positive, got {sde_horizon}")
@@ -153,11 +152,12 @@ class SamplePath(PiecewiseLinearPath):
 
 
 def required_horizon(sigma: DiffusionCoefficient, sde_horizon: float, n: int) -> float:
-    """Brownian horizon provisioned so the clock reaches the SDE horizon.
+    """Brownian horizon within which every clock of a ladder from n reaches T.
 
-    The clock grows at rate >= 1/C2^2, so C2^2 * T Brownian time always
-    suffices; one extra step plus a 10% margin covers the overshoot knot and
-    rounding. If a path still runs out it is extended, preserving its prefix.
+    Every corpus formula stays in [C1, C2] as it rounds, since each builder
+    derives C2 from that rounding, so each step is at least inv_n / fl(C2*C2).
+    The 10% covers the rounding summed over any driver that build_coefficient's
+    memory bound admits, and 2/n the overshoot knot of the coarsest level n.
     """
     return 1.1 * (sigma.c2**2 * sde_horizon) + 2.0 / n
 

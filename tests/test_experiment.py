@@ -276,36 +276,22 @@ class TestOneSample:
         assert np.all(res.sup_errors > 0)
 
 
-class TestDriverExtension:
-    """A driver provisioned too short is extended, and no path changes."""
+class TestShortDriver:
+    """A driver drawn too short fails its sample, and is never extended."""
 
-    @staticmethod
-    def _stingy(monkeypatch):
+    def test_short_driver_fails_its_sample(self, monkeypatch, tmp_path, capsys):
         import tcsde.experiment as exp
         from tcsde.brownian import BrownianPath
+        from tcsde.cli import main
+        from tcsde.errors import PathExhaustedError
 
-        calls = []
-        extended = BrownianPath.extended
-
-        def counted(self, horizon):
-            calls.append(horizon)
-            return extended(self, horizon)
+        def refuse(self, horizon):
+            raise AssertionError("a driver was extended")
 
         monkeypatch.setattr(exp, "required_horizon", lambda *a: 0.25)
-        monkeypatch.setattr(BrownianPath, "extended", counted)
-        return calls
-
-    def test_under_provisioned_sample_is_bit_identical(self, monkeypatch):
-        cfg = _config(samples=4)
-        reference = strong_error_one_sample(cfg, 2)
-        calls = self._stingy(monkeypatch)
-        stingy = strong_error_one_sample(cfg, 2)
-        assert len(calls) > 1
-        for field in ("sup_errors", "bound_excess"):
-            np.testing.assert_array_equal(getattr(stingy, field), getattr(reference, field))
-
-    def test_under_provisioned_dump_is_bit_identical(self, monkeypatch, tmp_path):
-        from tcsde.cli import main
+        monkeypatch.setattr(BrownianPath, "extended", refuse)
+        with pytest.raises(PathExhaustedError, match="driver ends at Brownian time 0.25"):
+            strong_error_one_sample(_config(samples=4), 2)
 
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -314,13 +300,17 @@ class TestDriverExtension:
                 for key, v in _config().to_mapping().items()
             )
         )
-        argv = ["dump-path", str(cfg), "--sample", "5", "--n", "16", "--out"]
-        assert main(argv + [str(tmp_path / "a")]) == 0
-        calls = self._stingy(monkeypatch)
-        assert main(argv + [str(tmp_path / "b")]) == 0
-        assert len(calls) > 1
-        dumped = [(tmp_path / d / "path-5-16.csv").read_bytes() for d in ("a", "b")]
-        assert dumped[0] == dumped[1]
+        # every sample runs short, and a run stops at the first index
+        for argv, sample in (
+            (["run", str(cfg), "--jobs", "1"], 0),
+            (["dump-path", str(cfg), "--sample", "2", "--n", "16"], 2),
+        ):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 3
+            assert (
+                f"sample {sample} failed in timechange: driver ends at Brownian time"
+                in capsys.readouterr().err
+            )
 
 
 #: one tiny run per corpus kind with the time-change scheme, and with

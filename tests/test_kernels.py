@@ -111,7 +111,7 @@ class TestClockLanes:
             _all_clocks(c.kernel_kind, c.kernel_params, driver.values, 1.0 / 1024, 1.0,
                         c.c1, c.c2, c.bound_tolerance)
 
-    @pytest.mark.parametrize("n", [16, 1024, 2**14])
+    @pytest.mark.parametrize("n", [16, 1024, 2048, 4096, 2**14])
     @pytest.mark.parametrize("name,params", CLOCK_CASES)
     def test_sweep_identical_to_loop(self, name, params, n):
         c = builtin_coefficient(name, params)
@@ -121,6 +121,24 @@ class TestClockLanes:
             c.c1, c.c2, c.bound_tolerance,
         )
         assert status == _kernels.OK
+
+    @pytest.mark.parametrize("n,route,other", [
+        (2048, "_clock_seq", "_clock_sweep"),
+        (4096, "_clock_sweep", "_clock_seq"),
+    ])
+    def test_time_dependent_route_by_resolution(self, monkeypatch, n, route, other):
+        # the loop is the faster route for a time-smooth clock at n = 2048,
+        # and the sweep at 4096 (clock_knots_kind's timings)
+        def refuse(*args):
+            raise AssertionError(f"{other} ran at n = {n}")
+
+        monkeypatch.setattr(_kernels, other, refuse)
+        c = builtin_coefficient("time-smooth", [2.0, 1.0])
+        driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 2).values
+        args = (c.kernel_kind, c.params, driver, 1.0 / n, 1.0, c.c1, c.c2, c.bound_tolerance)
+        buf, k, status = _kernels.clock_knots_kind(*args)
+        assert status == _kernels.OK
+        assert buf[: k + 1].tobytes() == getattr(_kernels, route)(*args)[0][: k + 1].tobytes()
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("name,params", CLOCK_CASES)

@@ -2,14 +2,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
-from strategies import CORPUS_PARAMS, SEED
+from strategies import CORPUS_PARAMS, SEED, UNIT
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
-from tcsde.errors import ContractViolationError, PathExhaustedError
-from tcsde.experiment import ExperimentConfig, sample_paths
+from tcsde.errors import ConfigError, ContractViolationError, PathExhaustedError
+from tcsde.experiment import (
+    PURPOSE_TIME_CHANGE,
+    SCHEME_TIME_CHANGE,
+    ExperimentConfig,
+    _driver_horizon,
+    sample_paths,
+)
 from tcsde.timechange import SamplePath, build_time_change, required_horizon
 
 
@@ -326,3 +334,70 @@ class TestDiscreteInverseClockBound:
             clock_gap = np.max(np.abs(_clock_at(tc_coarse, grid_s) - _clock_at(tc_fine, grid_s)))
             assert inv_gap <= c.c2**2 * clock_gap + 1e-10, name
 
+
+#: knots a drawn driver may hold, so that each example stays cheap
+_DRIVER_KNOTS = 2**17
+
+
+@st.composite
+def _ladder_cases(draw):
+    """A corpus coefficient with params inside its domain, edges included, a T
+    in [1e-4, 10], a ladder n_min * 2^j up to ref <= 2048, an x0 and a seed.
+    C2 is capped so that the driver holds at most _DRIVER_KNOTS knots."""
+    t_end = draw(st.floats(1e-4, 10.0))
+    n_min = draw(st.integers(1, 32))
+    k = draw(st.integers(0, (2048 // n_min).bit_length() - 1))
+    x0 = draw(st.sampled_from([0.0, 5.0, -5.0, 1e6]))
+    cap = (_DRIVER_KNOTS / (2.2 * (n_min << k) * t_end)) ** 0.5
+    level = st.floats(1e-150, 1.0).map(lambda u: u * cap)
+    half = st.floats(1e-150, 0.5).map(lambda u: u * cap)
+    centre = st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0).map(lambda d: x0 + d))
+    name = draw(st.sampled_from(sorted(CORPUS_PARAMS)))
+    if name == "constant":
+        params = (draw(level),)
+    elif name in ("smooth-sin", "time-smooth"):
+        a = draw(half)
+        below = UNIT.map(lambda u: a * u)
+        params = (a, draw(st.one_of(below, st.just(np.nextafter(a, 0.0)))))
+    elif name == "holder-root":
+        beta = st.one_of(UNIT, st.sampled_from([5e-324, 1e-300, np.nextafter(1.0, 0.0)]))
+        params = (draw(half), draw(half), draw(beta), draw(centre))
+    else:
+        lo = draw(level)
+        hi = draw(st.one_of(level, st.just(np.nextafter(lo, np.inf))))
+        width = st.one_of(st.floats(5e-324, 1e300), st.just(5e-324))
+        params = (lo, hi, draw(centre), draw(width))
+    return name, params, t_end, n_min, k, x0, draw(st.integers(0, 2**64 - 1))
+
+
+class TestRequiredHorizon:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_ladder_cases())
+    # a ramp that a stress search found to outrun 0.95 C2^2 T of Brownian
+    # time at n = 16; a constant sigma, whose every step is 1 / (n C2^2); and
+    # one whose first step overshoots T, which the 2/n term covers
+    @example(case=("step-mollified", (82.5, 593.0, 0.14, 1.6e-5), 0.0078, 16, 0, 0.0, 29))
+    @example(case=("constant", (100.0,), 1.0, 1, 0, 0.0, SEED))
+    @example(case=("constant", (1.0,), 1e-4, 1, 0, 0.0, SEED))
+    def test_every_clock_reaches_t_on_the_one_driver(self, case):
+        # the driver sample_paths draws holds every level's clock up to T,
+        # and every sigma the clock reads lies in [C1, C2] with no tolerance
+        name, params, t_end, n_min, k, x0, seed = case
+        try:
+            config = ExperimentConfig(
+                coefficient=name, params=params, sde_horizon=t_end, x0=x0,
+                resolutions=tuple(n_min << j for j in range(k + 1)),
+                ref_resolution=n_min << k, p=2.0, samples=1, master_seed=seed,
+            )
+            c = config.build_coefficient()
+        except ConfigError:
+            reject()
+        ref = config.ref_resolution
+        horizon = _driver_horizon(config, c, SCHEME_TIME_CHANGE)
+        fine = generate_path(ref, horizon, x0, seed, 0, PURPOSE_TIME_CHANGE)
+        for n in (ref,) + config.resolutions:
+            driver = fine.subsample(ref // n).values
+            _, last, status = _kernels.clock_knots_kind(
+                c.kernel_kind, c.params, driver, 1.0 / n, t_end, c.c1, c.c2, 0.0
+            )
+            assert status == _kernels.OK, (n, last, len(driver))
