@@ -1,9 +1,11 @@
 """Hot numeric kernels, in numpy.
 
-Every coefficient is a builtin kind: a small integer plus its params. Each
-kind's formula is written once, in FORMULAS, and compiled once into sigma_of,
-which the vectorized routes run on arrays, and into each interpreted loop's
-step, inlined; params are arguments, and pow is libm's in both.
+A coefficient reaches the kernels as its kind and its params. The kind is
+the text of its sigma(t, x), written in the params a, b, c, d, the time t and
+the state x with sin, pow, abs, min and max; diffusion._CORPUS holds every
+one. Each text is compiled once into sigma_of, which the vectorized routes
+run on arrays, and into each interpreted loop's step, inlined; params are
+arguments, and pow is libm's in both. reads_t tells which texts read t.
 
 Kernels:
   * clock construction: Euler steps of d(clock)/ds = 1/sigma^2(clock, driver)
@@ -15,11 +17,11 @@ Kernels:
     where the sweep's start-up passes cost more. Both add in the order of the
     numpy-scalar loop they replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
-    reads the increments, and the knot times k/n for TIME_KINDS only, once
-    as lists, so no step boxes a numpy scalar or calls more than sin, pow
-    and abs. Each step is the IEEE double arithmetic, with libm's pow, of
-    the numpy-scalar loop it replaced, so its bytes are that loop's, which
-    the tests keep as its oracle;
+    reads the increments, and the knot times k/n only for a kind that reads
+    t, through memoryviews, a Python float at a time, so no step boxes a
+    numpy scalar or calls more than sin, pow and abs. Each step is the IEEE
+    double arithmetic, with libm's pow, of the numpy-scalar loop it replaced,
+    so its bytes are that loop's, which the tests keep as its oracle;
   * exact sup of |A - B| for two piecewise-linear paths: the difference is
     linear between the knots of both, so its sup is at a knot or the right
     end, read on Python floats. Each path is read at the other's knots with
@@ -35,22 +37,6 @@ from itertools import chain
 from math import inf, pow, sin
 
 import numpy as np
-
-KIND_CONSTANT = 0
-KIND_SMOOTH_SIN = 1
-KIND_TIME_SMOOTH = 2
-KIND_HOLDER_ROOT = 3
-KIND_STEP_MOLLIFIED = 4
-#: Each kind's sigma(t, x), in its params a, b, c, d and sin, pow, min, max.
-FORMULAS = {
-    KIND_CONSTANT: "a + 0.0 * x",
-    KIND_SMOOTH_SIN: "a + b * sin(x)",
-    KIND_TIME_SMOOTH: "a + b * sin(x + t)",
-    KIND_HOLDER_ROOT: "a + min(pow(abs(x - d), c), b)",
-    KIND_STEP_MOLLIFIED: "a + (b - a) * min(max((x - (c - 0.5 * d)) / d, 0.0), 1.0)",
-}
-#: The kinds whose sigma reads t; every other kind's ignores it.
-TIME_KINDS = frozenset(k for k, f in FORMULAS.items() if "t" in compile(f, "", "eval").co_names)
 
 OK = 0
 EXHAUSTED = 1
@@ -93,17 +79,23 @@ class _Conditionals(ast.NodeTransformer):
 def _compiled(kind, template, inline_min_max=True):
     # template's function, kind's formula in place of SIGMA (for a loop on Python
     # floats, min and max inlined), in this module's globals, which blame_sample reads
-    tree = ast.parse(template.replace("SIGMA", f"({FORMULAS[kind]})"))
+    tree = ast.parse(template.replace("SIGMA", f"({kind})"))
     tree = ast.fix_missing_locations(_Conditionals().visit(tree) if inline_min_max else tree)
-    exec(compile(tree, f"<{__name__} kind {kind}>", "exec"), globals(), namespace := {})
+    exec(compile(tree, f"<{__name__} sigma {kind}>", "exec"), globals(), namespace := {})
     return namespace["compiled"]
+
+
+@functools.cache
+def reads_t(kind):
+    """Whether kind's sigma reads the time t; every other kind's ignores it."""
+    return "t" in compile(kind, "", "eval").co_names
 
 
 _SIGMA = "def compiled(sin, pow, min, max, a, b=0.0, c=0.0, d=0.0): return lambda t, x: SIGMA"
 
 
 def sigma_of(kind, p, ops):
-    """sigma(t, x) of a builtin kind with params p, on SCALAR_OPS or VECTOR_OPS."""
+    """sigma(t, x) of kind with params p, on SCALAR_OPS or VECTOR_OPS."""
     return _compiled(kind, _SIGMA, False)(*ops, *map(float, p))
 
 
@@ -153,7 +145,7 @@ def _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol):
     # The Picard sweep of clock_knots_kind; returns (buffer, k, status) with
     # the knots 0..k valid, as _clock_seq does.
     sigma = sigma_of(kind, p, VECTOR_OPS)
-    timed = kind in TIME_KINDS
+    timed = reads_t(kind)
     last = driver.shape[0] - 1
     clock = np.empty(last + 1, dtype=np.float64)
     clock[0] = 0.0
@@ -225,7 +217,7 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     with T = 1 over 24 drivers, loop vs sweep: 0.75 vs 1.22 ms at n = 1024,
     1.54 vs 1.82 at 2048, 3.53 vs 2.76 at 4096, 7.18 vs 4.74 at 8192.
     """
-    if kind in TIME_KINDS and 1.0 / inv_n < CLOCK_LOOP_BELOW:
+    if reads_t(kind) and 1.0 / inv_n < CLOCK_LOOP_BELOW:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)
     return _clock_sweep(kind, p, driver, inv_n, t_end, lo, hi, tol)
 
@@ -241,11 +233,12 @@ def compiled(dws, ts, x, a, b=0.0, c=0.0, d=0.0):
 def em_values_kind(kind, p, increments, n, x0):
     """Euler-Maruyama iterates x[k+1] = x[k] + sigma(k/n, x[k]) * increments[k].
 
-    Only TIME_KINDS read the k/n, and numpy's division gives Python's. Python
-    floats overflow to inf without a warning, as arrays do under np.errstate.
+    Only a kind that reads t reads the k/n, and numpy's division gives
+    Python's. Python floats overflow to inf without a warning, as arrays do
+    under np.errstate.
     """
-    dws = increments.tolist()
-    ts = (np.arange(len(dws)) / float(n)).tolist() if kind in TIME_KINDS else None
+    dws = memoryview(increments)
+    ts = memoryview(np.arange(len(dws)) / float(n)) if reads_t(kind) else None
     return np.array(_compiled(kind, _EM_LOOP)(dws, ts, float(x0), *map(float, p)), dtype=np.float64)
 
 

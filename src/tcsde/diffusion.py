@@ -1,9 +1,10 @@
 """Diffusion coefficients: the bounded-volatility contract and a test corpus.
 
 A coefficient is a corpus name with its params, and nothing else is given.
-The name picks a kernel kind (one formula in ``_kernels.FORMULAS``) and a
-builder, which checks the params and derives from them the two facts the
-strong-rate theorem needs: the bounds 0 < C1 <= sigma <= C2 and the spatial
+The name picks one row of _CORPUS: the kind, which is the text of sigma(t, x)
+that the kernels compile, and a builder, whose signature lists the params and
+which checks them and derives from them the two facts the strong-rate
+theorem needs: the bounds 0 < C1 <= sigma <= C2 and the spatial
 Hoelder exponent beta, with the smoothness class that selects the
 theoretical overlay. The bounds are enforced while the clock is built; the
 test suite samples every kind against them.
@@ -42,7 +43,7 @@ class DiffusionCoefficient:
 
     name: str
     params: np.ndarray
-    kernel_kind: int = field(init=False)
+    kernel_kind: str = field(init=False)
     c1: float = field(init=False)
     c2: float = field(init=False)
     holder_beta: float = field(init=False)
@@ -54,7 +55,8 @@ class DiffusionCoefficient:
             raise ValueError(
                 f"unknown coefficient {self.name!r}; available: {', '.join(corpus_names())}"
             )
-        kind, build, arity = _CORPUS[self.name]
+        kind, build = _CORPUS[self.name]
+        arity = build.__code__.co_argcount
         params = np.array(self.params, dtype=np.float64)
         if params.shape != (arity,):
             raise ValueError(f"{self.name} takes {arity} parameter(s), got {params.size}")
@@ -96,9 +98,9 @@ def _fmt(params: Sequence[float]) -> str:
     return ",".join(f"{float(v):g}" for v in params)
 
 
-# A builder takes its kind's params as floats, refuses those outside the
-# kind's domain (its message follows the kind's name), and returns
-# (C1, C2, beta, smoothness class).
+# A builder takes its kind's params as floats, one argument each, refuses
+# those outside the kind's domain (its message follows the kind's name), and
+# returns (C1, C2, beta, smoothness class).
 
 
 def _build_constant(c):
@@ -133,13 +135,16 @@ def _build_step_mollified(lo, hi, _centre, width):
     return min(lo, far), max(lo, far), 1.0, HOLDER
 
 
-#: name -> (kernel kind, builder, arity)
+#: name -> (kind, builder): the kind is the text of sigma(t, x) that the kernels
+#: compile, with the builder's params, in order, as a, b, c, d
 _CORPUS = {
-    "constant": (_kernels.KIND_CONSTANT, _build_constant, 1),
-    "smooth-sin": (_kernels.KIND_SMOOTH_SIN, _build_sine, 2),
-    "time-smooth": (_kernels.KIND_TIME_SMOOTH, _build_sine, 2),
-    "holder-root": (_kernels.KIND_HOLDER_ROOT, _build_holder_root, 4),
-    "step-mollified": (_kernels.KIND_STEP_MOLLIFIED, _build_step_mollified, 4),
+    "constant": ("a + 0.0 * x", _build_constant),
+    "smooth-sin": ("a + b * sin(x)", _build_sine),
+    "time-smooth": ("a + b * sin(x + t)", _build_sine),
+    "holder-root": ("a + min(pow(abs(x - d), c), b)", _build_holder_root),
+    "step-mollified": (
+        "a + (b - a) * min(max((x - (c - 0.5 * d)) / d, 0.0), 1.0)", _build_step_mollified
+    ),
 }
 
 

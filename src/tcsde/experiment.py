@@ -144,27 +144,26 @@ class ExperimentConfig:
     def build_coefficient(self) -> DiffusionCoefficient:
         """The configured coefficient. Raises ConfigError for params its kind
         refuses, for a T whose driver numpy cannot index, and for a
-        ref_resolution whose driver outgrows physical memory."""
+        ref_resolution at which one sample outgrows physical memory."""
         try:
             coeff = builtin_coefficient(self.coefficient, self.params)
         except ValueError as exc:
             raise ConfigError(f"coefficient: {exc}") from exc
-        schemes = (SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA)
-        horizon = max(_driver_horizon(self, coeff, s) for s in schemes
-                      if self.scheme in (s, SCHEME_COMPARE))
+        schemes = [s for s in (SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA)
+                   if self.scheme in (s, SCHEME_COMPARE)]
+        horizon = max(_driver_horizon(self, coeff, s) for s in schemes)
         # the driver holds ref_resolution * horizon + 1 knots
         if not horizon < np.iinfo(np.intp).max / self.ref_resolution:
             raise ConfigError(
                 f"T: {self.sde_horizon} needs a driver of Brownian horizon {horizon:g} "
                 f"at ref_resolution {self.ref_resolution}, more knots than numpy can index"
             )
-        # 16 bytes a knot: the driver's values and a clock or path on them
-        need, memory = 16 * (self.ref_resolution * horizon + 1), _physical_memory()
+        need, memory = max(_sample_bytes(self, coeff, s) for s in schemes), _physical_memory()
         if need > memory:
             raise ConfigError(
-                f"ref_resolution: {self.ref_resolution} needs a driver of "
-                f"{need / 2**30:.4g} GiB (16 bytes a knot to Brownian horizon "
-                f"{horizon:g}), more than the {memory / 2**30:.4g} GiB of physical memory"
+                f"ref_resolution: {self.ref_resolution} needs a driver of Brownian horizon "
+                f"{horizon:g}, and a sample on it holds {need / 2**30:.4g} GiB, more than "
+                f"the {memory / 2**30:.4g} GiB of physical memory"
             )
         return coeff
 
@@ -233,6 +232,27 @@ def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, schem
     if scheme == SCHEME_EULER_MARUYAMA:
         return config.sde_horizon + 2.0 / min(config.resolutions)
     return required_horizon(coeff, config.sde_horizon, min(config.resolutions))
+
+
+def _sample_bytes(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:
+    """Most bytes one sample of scheme holds: a rate a knot of every level's
+    driver, which is the drawn reference driver or a subsample (a view) of it.
+
+    An array takes 8 B a knot, a Python float 24, and a list 8 a pointer and
+    up to 1 more as it grows. Euler-Maruyama holds the most while it steps a
+    level: the driver, the increments, the knot times, the iterates' list and
+    its copy with x0 in front; their array comes once the first list is
+    freed, and each level's path (16) once its lists are. The time change
+    holds the driver (16 while it is drawn), its clocks and the reference's
+    knots_s, 8 each. It holds the most while the loop builds a clock: the
+    driver, the clock's list and its array. The sweep's buffer takes 8, and a
+    sup reads a ladder level with 41 B a knot of temporaries.
+    """
+    horizon = _driver_horizon(config, coeff, scheme)
+    knots = sum(n * horizon + 1 for n in (config.ref_resolution,) + config.resolutions)
+    if scheme == SCHEME_EULER_MARUYAMA:
+        return (8 + 8 + 8 + (24 + 9) + 8) * knots
+    return (8 + (24 + 9) + 8) * knots
 
 
 def sample_paths(

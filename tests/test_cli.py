@@ -11,6 +11,7 @@ import pytest
 
 from tcsde import cli
 from tcsde.cli import main, parse_config_file
+from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ConfigError
 from tcsde.experiment import ExperimentConfig
 
@@ -522,20 +523,26 @@ class TestRefusedBeforeAnySample:
             assert "more than the 1 GiB of physical memory" in err
             assert not (tmp_path / "o").exists()
 
-    def test_limit_is_16_bytes_a_knot(self, tmp_path, monkeypatch):
-        # the first driver holds ref_resolution * horizon + 1 knots
+    def test_limit_is_what_one_sample_holds(self, tmp_path, monkeypatch):
+        # bytes a knot of every level's driver: 49 under the time change and
+        # 65 under Euler-Maruyama; compare takes the larger of its two schemes'
         import tcsde.experiment as exp
 
+        rates = {"time-change": 49, "euler-maruyama": 65}
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(_config_text(resolutions="4, 8", ref_resolution="32"))
-        config = ExperimentConfig.from_mapping(parse_config_file(cfg))
-        coeff = config.build_coefficient()
-        need = 16 * (32 * exp._driver_horizon(config, coeff, "time-change") + 1)
-        monkeypatch.setattr(exp, "_physical_memory", lambda: need)
-        config.build_coefficient()
-        monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
-        with pytest.raises(ConfigError, match="^ref_resolution: 32 needs a driver "):
+        for scheme in ["time-change", "euler-maruyama", "compare"]:
+            cfg.write_text(_config_text(resolutions="4, 8", ref_resolution="32", scheme=scheme))
+            config = ExperimentConfig.from_mapping(parse_config_file(cfg))
+            coeff = builtin_coefficient(config.coefficient, config.params)
+            need = max(
+                rate * sum(n * exp._driver_horizon(config, coeff, s) + 1 for n in (32, 4, 8))
+                for s, rate in rates.items() if scheme in (s, "compare")
+            )
+            monkeypatch.setattr(exp, "_physical_memory", lambda: need)
             config.build_coefficient()
+            monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+            with pytest.raises(ConfigError, match="^ref_resolution: 32 needs a driver "):
+                config.build_coefficient()
 
 
 class TestOutputs:

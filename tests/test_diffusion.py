@@ -128,7 +128,7 @@ class TestCorpusValidation:
     def test_takes_only_name_and_params(self):
         c = DiffusionCoefficient("smooth-sin", [2.0, 1.0])
         assert (c.kernel_kind, c.c1, c.c2, c.holder_beta, c.smoothness, c.label) == (
-            _kernels.KIND_SMOOTH_SIN, 1.0, 3.0, 1.0, SMOOTH, "smooth-sin(2,1)"
+            "a + b * sin(x)", 1.0, 3.0, 1.0, SMOOTH, "smooth-sin(2,1)"
         )
         for derived in ("kernel_kind", "c1", "c2", "holder_beta", "smoothness", "label"):
             with pytest.raises(ValueError, match="init=False"):

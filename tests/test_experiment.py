@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import pickle
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from tcsde.experiment import (
     SCHEME_EULER_MARUYAMA,
     SCHEME_TIME_CHANGE,
     ExperimentConfig,
+    _sample_bytes,
     fit_loglog,
     run_experiment,
     sample_paths,
@@ -274,6 +276,36 @@ class TestOneSample:
         res = strong_error_one_sample(cfg, 0)
         assert res.bound_excess is None
         assert np.all(res.sup_errors > 0)
+
+
+#: one sample on the clock's sweep, on its loop and under Euler-Maruyama, each
+#: at its worst: a clock that uses nearly all of its driver (sigma about C2),
+#: and a ladder level a quarter of the reference; (coefficient, params, T,
+#: ladder, ref, scheme)
+_MEMORY_CASES = {
+    "sweep": ("constant", (1.0,), 1.0, (2**14, 2**15, 2**16), 2**18, SCHEME_TIME_CHANGE),
+    "loop": ("time-smooth", (2.0, 1e-3), 12.0, (128, 256, 512), 2048, SCHEME_TIME_CHANGE),
+    "euler-maruyama": ("time-smooth", (2.0, 1.0), 1.0, (2**12, 2**13, 2**14), 2**16,
+                       SCHEME_EULER_MARUYAMA),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_MEMORY_CASES))
+def test_one_sample_holds_at_most_what_the_memory_rule_counts(route):
+    # build_coefficient refuses a config whose _sample_bytes exceed physical
+    # memory, so a sample must hold no more; and the rule counts no more than
+    # twice what it holds
+    name, params, t_end, ladder, ref, scheme = _MEMORY_CASES[route]
+    config = _config(coefficient=name, params=params, sde_horizon=t_end, resolutions=ladder,
+                     ref_resolution=ref, scheme=scheme)
+    need = _sample_bytes(config, config.build_coefficient(), scheme)
+    tracemalloc.start()
+    try:
+        strong_error_one_sample(config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need / 2 < peak <= need, peak / need
 
 
 class TestShortDriver:

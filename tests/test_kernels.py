@@ -27,8 +27,8 @@ import oracles
 from strategies import INSIDE, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
-from tcsde.diffusion import _CORPUS, builtin_coefficient
-from tcsde.experiment import ExperimentConfig, strong_error_one_sample
+from tcsde.diffusion import _CORPUS, _build_sine, builtin_coefficient
+from tcsde.experiment import ExperimentConfig, run_experiment, strong_error_one_sample
 from tcsde.timechange import required_horizon
 
 CORPUS_PARAMS = {
@@ -279,20 +279,20 @@ class TestClockLanes:
         assert status == _kernels.EXHAUSTED
 
     @pytest.mark.parametrize(
-        "kind,p,x",
+        "name,p,x",
         [
-            (_kernels.KIND_CONSTANT, [0.0], 0.25),
+            ("constant", [0.0], 0.25),
             # sin(-pi/2) is -1.0 exactly, so sigma is 0.0 at knot 0
-            (_kernels.KIND_TIME_SMOOTH, [1.0, 1.0], -math.pi / 2),
+            ("time-smooth", [1.0, 1.0], -math.pi / 2),
         ],
     )
-    def test_zero_sigma_is_an_infinite_step(self, kind, p, x):
+    def test_zero_sigma_is_an_infinite_step(self, name, p, x):
         # numpy's division gives inv_n / 0.0 = inf, and the clock reaches any
         # t_end there; the loop on Python floats must take that step too,
         # with no ZeroDivisionError and no warning
         driver = np.full(8, x)
         for route in CLOCK_ROUTES:
-            buf, k, status = route(kind, p, driver, 1.0 / 16, 1.0, 0.0, 2.0, 0.0)
+            buf, k, status = route(_CORPUS[name][0], p, driver, 1.0 / 16, 1.0, 0.0, 2.0, 0.0)
             assert (k, status) == (1, _kernels.OK), route.__name__
             assert buf[:2].tolist() == [0.0, math.inf], route.__name__
 
@@ -385,30 +385,45 @@ class TestEmLoop:
         _em_both(c.kernel_kind, c.kernel_params, increments, n, x0)
 
 
-#: every kind the kernels know, and the corpus names that build each
-KINDS = {v for k, v in vars(_kernels).items() if k.startswith("KIND_")}
-_KIND_OF = {name: kind for name, (kind, *_) in _CORPUS.items()}
+def test_a_new_kind_is_one_row(monkeypatch):
+    # one _CORPUS row, and every route runs the kind: the coefficient, both
+    # clock routes against the oracle, the EM loop, and a run of each scheme
+    kind = "a + b * abs(sin(x + t))"
+    monkeypatch.setitem(_CORPUS, "abs-sine", (kind, _build_sine))
+    c = builtin_coefficient("abs-sine", [2.0, 1.0])
+    assert (c.kernel_kind, c.c1, c.c2) == (kind, 1.0, 3.0) and _kernels.reads_t(kind)
+    for n in (16, 2**14):
+        driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 2).values
+        _, _, status = _all_clocks(kind, c.params, driver, 1.0 / n, 1.0, c.c1, c.c2,
+                                   c.bound_tolerance)
+        assert status == _kernels.OK
+        _em_both(kind, c.params, np.diff(driver), n, 0.25)
+    config = ExperimentConfig(coefficient="abs-sine", params=(2.0, 1.0), sde_horizon=1.0,
+                              x0=0.0, resolutions=(4, 8), ref_resolution=32, p=2.0, samples=2,
+                              master_seed=SEED, scheme="compare")
+    report = run_experiment(config, jobs=1)
+    assert report["time_change"]["per_resolution"][0]["mean_error"] > 0
+    assert report["euler_maruyama"]["per_resolution"][0]["mean_error"] > 0
 
 
-def test_every_kind_has_a_corpus_name():
-    # so the test below covers every kind outside TIME_KINDS; and each kind
-    # inside does read t
-    assert set(_KIND_OF.values()) == KINDS
-    for kind in _kernels.TIME_KINDS:
-        sigma = _kernels.sigma_of(kind, [2.0, 1.0, 0.5, 0.0], _kernels.SCALAR_OPS)
-        assert sigma(0.0, 0.0) != sigma(1.0, 0.0)
+def test_every_kind_that_reads_t_varies_with_t():
+    # so the test below covers every kind whose sigma must ignore t
+    for kind, _ in _CORPUS.values():
+        if _kernels.reads_t(kind):
+            sigma = _kernels.sigma_of(kind, [2.0, 1.0, 0.5, 0.0], _kernels.SCALAR_OPS)
+            assert sigma(0.0, 0.0) != sigma(1.0, 0.0), kind
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize(
-    "name", sorted(n for n, k in _KIND_OF.items() if k not in _kernels.TIME_KINDS)
+    "name", sorted(n for n, (kind, _) in _CORPUS.items() if not _kernels.reads_t(kind))
 )
 def test_sigma_ignores_t_outside_time_kinds(name, data):
-    # em_values_kind steps a kind outside TIME_KINDS at t = 0.0, and the clock
-    # takes one Picard pass a window for it, so its sigma must give the bits
-    # at t = 0.0 that it gives at any t, over both ops
-    kind = _KIND_OF[name]
+    # em_values_kind steps a kind that does not read t at t = 0.0, and the
+    # clock takes one Picard pass a window for it, so its sigma must give the
+    # bits at t = 0.0 that it gives at any t, over both ops
+    kind = _CORPUS[name][0]
     params = np.array(data.draw(INSIDE[name]), dtype=np.float64)
     xs = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
     ts = data.draw(st.lists(st.floats(0.0, 1e6), min_size=len(xs), max_size=len(xs)))
@@ -462,13 +477,13 @@ def _bits_or_error(f, *args):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("name", sorted(_KIND_OF))
+@pytest.mark.parametrize("name", sorted(_CORPUS))
 def test_inlined_step_is_sigma_of(name, data):
     # each min and max written as its conditional gives the bits of sigma_of
     # over SCALAR_OPS at signed zeros, NaNs, infinities and subnormals, so a
     # swapped argument or comparison shows; and so does the EM loop's first
     # step, taken at t = 0
-    kind = _KIND_OF[name]
+    kind = _CORPUS[name][0]
     params = [float(v) for v in data.draw(INSIDE[name])]
     t, x, dw = data.draw(_EDGE_FLOATS), data.draw(_EDGE_FLOATS), data.draw(_EDGE_FLOATS)
     sigma = _kernels.sigma_of(kind, params, _kernels.SCALAR_OPS)
@@ -481,7 +496,7 @@ def test_inlined_step_is_sigma_of(name, data):
 def test_sigma_of_compiles_once_per_kind():
     # sigma_of runs for every clock and EM path: two calls with other params
     # reuse one compiled formula
-    for kind in KINDS:
+    for kind, _ in _CORPUS.values():
         for ops in (_kernels.SCALAR_OPS, _kernels.VECTOR_OPS):
             one = _kernels.sigma_of(kind, [2.0, 1.0, 0.5, 0.0], ops)
             two = _kernels.sigma_of(kind, [3.0, 0.5, 0.7, 1.0], ops)
