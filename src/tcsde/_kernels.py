@@ -25,8 +25,10 @@ Kernels:
   * exact sup of |A - B| for two piecewise-linear paths: the difference is
     linear between the knots of both, so its sup is at a knot or the right
     end, read on Python floats. Each path is read at the other's knots with
-    pl_eval_many's arithmetic, with no union grid; a dense path's, in blocks
-    of whole intervals of the coarse one, so the temporaries stay cache-sized.
+    pl_eval_many's arithmetic, with no union grid. The pair is ordered sparser
+    first: its knots are read by one pl_eval_many call, the denser path's in
+    blocks of whole intervals of the sparser one, so the temporaries stay
+    cache-sized.
 """
 
 from __future__ import annotations
@@ -264,17 +266,15 @@ SUP_BLOCK = 16384
 
 def _max_abs_diff_at(q, y, kt, ky, best):
     # max of best and every |y[i] - P(q[i])| (NaN if any is), P the
-    # piecewise-linear path (kt, ky), for ascending q >= kt[0]. Each P(q[i]) is
-    # the float pl_eval_many gives: the same interval, theta and interpolation.
+    # piecewise-linear path (kt, ky), for ascending q >= kt[0]: the denser
+    # path's knots read in the sparser one. Each P(q[i]) is the float
+    # pl_eval_many gives: the same interval, theta and interpolation. Knots are
+    # placed among the times, which halves the time of m searches, and each
+    # interval's values spread over its times in blocks of whole intervals, at
+    # most SUP_BLOCK times unless one interval holds more, so the temporaries
+    # stay in L2; full-length ones, freed to the OS, fault in fresh pages on
+    # every call. Times at or past the last knot read ky[-1].
     m = int(np.searchsorted(q, kt[-1], side="left"))
-    if m <= kt.shape[0]:
-        return np.abs(y - pl_eval_many(kt, ky, q)).max(initial=best)
-    # Many times on few knots (the reference's knots read in a ladder path):
-    # place the knots among the times, which halves the time of m searches,
-    # and spread each interval's values over its times in blocks of whole
-    # intervals, at most SUP_BLOCK times unless one interval holds more, so the
-    # temporaries stay in L2; full-length ones, freed to the OS, fault in fresh
-    # pages on every call. Times at or past the last knot read ky[-1].
     best = np.abs(y[m:] - ky[-1]).max(initial=best)
     edges = np.searchsorted(q, kt, side="left")
     dt, dy = np.diff(kt), np.diff(ky)
@@ -308,10 +308,13 @@ def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:
     Both paths start at the same time and have strictly increasing knots.
     The difference is linear between consecutive knots of either path, so its
     sup is attained at a knot of A, a knot of B, or t_hi. A path read at its
-    own knot is exact, so each side reads only the other path.
+    own knot is exact, so each side reads only the other path: the sparser
+    path's knots by one pl_eval_many call, the denser's by blocks.
     """
+    if ta.shape[0] > tb.shape[0]:
+        ta, ya, tb, yb = tb, yb, ta, ya
     ka = int(np.searchsorted(ta, t_hi, side="right"))
     kb = int(np.searchsorted(tb, t_hi, side="right"))
     best = abs(_read_at(ta, ya, ka, t_hi) - _read_at(tb, yb, kb, t_hi))
-    best = _max_abs_diff_at(ta[:ka], ya[:ka], tb, yb, best)
+    best = np.abs(ya[:ka] - pl_eval_many(tb, yb, ta[:ka])).max(initial=best)
     return float(_max_abs_diff_at(tb[:kb], yb[:kb], ta, ya, best))

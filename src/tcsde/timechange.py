@@ -118,17 +118,6 @@ class PiecewiseLinearPath:
             raise ValueError("SDE times outside the sample path domain")
         return _kernels.pl_eval_many(self.t, self.y, t)
 
-    def breakpoints(self) -> np.ndarray:
-        """SDE times where the path changes slope: knots <= T, plus 0 and T.
-
-        The path is affine between consecutive breakpoints.
-        """
-        knots = self.t
-        pts = np.append(knots[knots <= self.sde_horizon], self.sde_horizon)
-        if len(pts) >= 2 and pts[-1] == pts[-2]:
-            pts = pts[:-1]
-        return pts
-
 
 @dataclass(frozen=True)
 class SamplePath(PiecewiseLinearPath):
@@ -163,10 +152,12 @@ def required_horizon(sigma: DiffusionCoefficient, sde_horizon: float, n: int) ->
 
 
 def write_solution_csv(sample: PiecewiseLinearPath, stream: IO[str]) -> None:
-    """Dump (t, x_hat) over the path's breakpoints for plotting."""
-    pts = sample.breakpoints()
-    vals = sample.evaluate_many(pts)
+    """Dump (t, x_hat) for plotting: the path's knots up to T as they are, and
+    T, read with pl_eval_many's arithmetic, if no knot falls on it."""
+    t, y, t_end = sample.t, sample.y, float(sample.sde_horizon)
+    k = int(np.searchsorted(t, t_end, side="right"))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["t", "x_hat"])
-    for t, v in zip(pts, vals):
-        writer.writerow([repr(float(t)), repr(float(v))])
+    writer.writerows([repr(float(tk)), repr(float(yk))] for tk, yk in zip(t[:k], y[:k]))
+    if t[k - 1] < t_end:
+        writer.writerow([repr(t_end), repr(_kernels._read_at(t, y, k, t_end))])

@@ -43,6 +43,19 @@ COMMITTED_DIGESTS = {
     ),
 }
 
+#: sha256 of the CSV that `dump-path --sample 3 --n N` writes for each
+#: committed config; the same rule as COMMITTED_DIGESTS
+DUMP_PATH_DIGESTS = {
+    ("smooth-sin-rate.cfg", 16):
+        "6ef23a232bbe51cc2c042993bde3d0b460c9449c14de2d789538c70bbcd5943f",
+    ("smooth-sin-rate.cfg", 1024):
+        "ac661588991f0efc99b0c8caaed10fd6ee9d8c21e15f50ef8247b7ac764d4a29",
+    ("holder-root-compare.cfg", 16):
+        "5e90e2d600ca8040781d5fb4c2ecbe35f7f11ae491a0f37d2ea05337b1553fd9",
+    ("holder-root-compare.cfg", 512):
+        "8f232dad90a23f661867d3494f32c57a1b07b2ad90d4e3f1c72193a5c3e12e11",
+}
+
 
 def _digests(out: Path) -> tuple[str, str]:
     return tuple(
@@ -273,3 +286,12 @@ def test_criterion_8_scheme_comparison(tmp_path):
     assert np.isfinite(em)
     assert tc > 0.6 - 0.5, tc
     _record(8, f"time-change order {tc:.4f} > 0.10; baseline order {em:.4f} reported")
+
+
+@pytest.mark.parametrize("name, n", sorted(DUMP_PATH_DIGESTS))
+def test_dump_path_bytes_match_their_pins(name, n, tmp_path):
+    argv = ["dump-path", str(REPO / "configs" / name), "--sample", "3", "--n", str(n),
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / f"path-3-{n}.csv").read_bytes()).hexdigest()
+    assert digest == DUMP_PATH_DIGESTS[name, n]

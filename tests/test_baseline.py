@@ -67,11 +67,18 @@ class TestContinuousComparisonPath:
         assert mid == pytest.approx((em.y[0] + em.y[1]) / 2, rel=1e-14)
 
     def test_breakpoints_clip_at_horizon(self):
+        # the dumped rows stop at T: on the last iterate's time (T = 1), or
+        # between two (T = 0.9, where the path runs on to 1)
         c = builtin_coefficient("constant", [2.0])
-        em = em_simulate(c, _driver(4, 2.0, 3), 1.0, 0.0)
-        pts = em.breakpoints()
-        assert pts[0] == 0.0 and pts[-1] == 1.0
-        assert np.all(np.diff(pts) > 0)
+        for t_end in (1.0, 0.9):
+            em = em_simulate(c, _driver(4, 2.0, 3), t_end, 0.0)
+            buf = io.StringIO()
+            write_solution_csv(em, buf)
+            rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+            pts, vals = np.array(rows, dtype=np.float64).T
+            assert pts[0] == 0.0 and pts[-1] == t_end
+            assert np.all(np.diff(pts) > 0)
+            np.testing.assert_array_equal(vals, em.evaluate_many(pts))
 
 
 class TestSelfConvergence:
@@ -124,4 +131,6 @@ class TestCsvDump:
         write_solution_csv(em, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,x_hat"
-        assert len(lines) == 1 + len(em.breakpoints())
+        # a row for each iterate up to T, the last of them at T
+        assert em.t[-1] == 1.0
+        assert len(lines) == 1 + em.knot_count

@@ -333,12 +333,32 @@ class TestCmdDumpPath:
             time_change=build_time_change(coarse, coeff, 1.0),
             sde_horizon=1.0,
         )
-        pts = sp.breakpoints()
+        # a row for each knot below T = 1, then T, read between two knots
+        k = int(np.searchsorted(sp.t, 1.0))
+        assert sp.t[k] > 1.0
+        pts = np.append(sp.t[:k], 1.0)
+        vals = np.append(sp.y[:k], sp.evaluate_many([1.0]))
         assert len(lines) == len(pts)
-        for line, t, v in zip(lines, pts, sp.evaluate_many(pts)):
+        for line, t, v in zip(lines, pts, vals):
             st, sv = line.split(",")
             assert float(st) == t
             assert float(sv) == v
+
+    @pytest.mark.parametrize("scheme", ["time-change", "euler-maruyama"])
+    def test_negative_zero_start_is_written_as_is(self, scheme, tmp_path):
+        # a path's first row is its first knot, x0 = -0.0, whatever the sign
+        # of its first step; a read at the knot would add 0 * step
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_config_text(
+            coefficient="time-smooth", T="0.7", x0="-0.0", resolutions="16, 1024",
+            ref_resolution="4096", samples="8", master_seed="5", scheme=scheme,
+        ))
+        for sample in range(8):
+            out = tmp_path / f"out-{sample}"
+            argv = ["dump-path", str(cfg), "--sample", str(sample), "--n", "16", "--out", str(out)]
+            assert main(argv) == 0
+            lines = (out / f"path-{sample}-16.csv").read_text().splitlines()
+            assert lines[1] == "0.0,-0.0", (sample, lines[1])
 
     def test_sample_out_of_range(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -28,6 +28,7 @@ from tcsde.experiment import (
     sample_paths,
     strong_error_one_sample,
 )
+from tcsde.timechange import write_solution_csv
 
 #: pool tests patch the package in this process; only forked workers see it
 needs_fork = pytest.mark.skipif(
@@ -306,6 +307,34 @@ def test_one_sample_holds_at_most_what_the_memory_rule_counts(route):
     finally:
         tracemalloc.stop()
     assert need / 2 < peak <= need, peak / need
+
+
+#: dump-path at the reference, 2^16 over a ladder of 16, where the dumped path
+#: is the largest: (coefficient, params, scheme)
+_DUMP_CASES = {
+    "time-change": ("constant", (1.0,), SCHEME_TIME_CHANGE),
+    "euler-maruyama": ("holder-root", (1.0, 1.0, 0.6, 0.0), SCHEME_EULER_MARUYAMA),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DUMP_CASES))
+def test_dumped_sample_holds_at_most_what_the_memory_rule_counts(case, tmp_path):
+    # dump-path's sample and its CSV: the rows stream from the path's own
+    # arrays, so writing them holds no read of the path on top of the sample
+    name, params, scheme = _DUMP_CASES[case]
+    config = _config(coefficient=name, params=params, resolutions=(16,),
+                     ref_resolution=2**16, scheme=scheme)
+    coeff = config.build_coefficient()
+    need = _sample_bytes(config, coeff, scheme)
+    tracemalloc.start()
+    try:
+        path = sample_paths(config, coeff, 0)[config.ref_resolution]
+        with (tmp_path / "path.csv").open("w", newline="") as fh:
+            write_solution_csv(path, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, peak / need
 
 
 class TestShortDriver:

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -18,7 +19,12 @@ from tcsde.experiment import (
     _driver_horizon,
     sample_paths,
 )
-from tcsde.timechange import SamplePath, build_time_change, required_horizon
+from tcsde.timechange import (
+    SamplePath,
+    build_time_change,
+    required_horizon,
+    write_solution_csv,
+)
 
 
 def _coeff(name):
@@ -40,6 +46,15 @@ def _sample(name, n, sample_index, t_end=1.0, x0=0.0):
         master_seed=SEED,
     )
     return sample_paths(config, _coeff(name), sample_index)[n]
+
+
+def _rows(path):
+    """The (t, x_hat) columns that write_solution_csv dumps for path."""
+    buf = io.StringIO()
+    write_solution_csv(path, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "t,x_hat"
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
 
 
 def _clock_at(tc, s):
@@ -219,9 +234,9 @@ class TestSolutionEvaluation:
 
     def test_constant_sigma_matches_rescaled_driver_everywhere(self):
         sp = _sample("constant", 8, 2)
-        pts = sp.breakpoints()
+        pts, vals = _rows(sp)
         rescaled = [oracles.interpolate(sp.driver, 4.0 * float(t)) for t in pts]
-        np.testing.assert_array_equal(sp.evaluate_many(pts), rescaled)
+        np.testing.assert_array_equal(vals, rescaled)
 
     def test_frozen_seeded_value_against_dual_implementation(self):
         # smooth-sin(2,1), n=4, sample 3, t=0.5: value pinned by the
@@ -266,33 +281,41 @@ class TestSolutionEvaluation:
 
 
 class TestBreakpoints:
+    """The dumped rows: the path's knots up to T, plus T if no knot is on it."""
+
     def test_constant_sigma_grid(self):
         sp = _sample("constant", 2, 0)
-        pts = sp.breakpoints()
+        pts, vals = _rows(sp)
         expected = np.arange(9) / 8.0  # clock knots k/(2*4) up to T=1
         np.testing.assert_array_equal(pts, expected)
+        np.testing.assert_array_equal(vals, sp.y[:9])
 
     def test_single_step_degenerate(self):
-        # one clock step covers the whole horizon: breakpoints are {0, T}
+        # one clock step covers the whole horizon: the rows are at {0, T}
         c = builtin_coefficient("constant", [1.0])
         driver = generate_path(1, 4.0, 0.0, SEED, 0)
         tc = build_time_change(driver, c, 0.75)
         sp = SamplePath(driver=driver, time_change=tc, sde_horizon=0.75)
-        np.testing.assert_array_equal(sp.breakpoints(), [0.0, 0.75])
+        pts, vals = _rows(sp)
+        np.testing.assert_array_equal(pts, [0.0, 0.75])
+        np.testing.assert_array_equal(vals, sp.evaluate_many([0.0, 0.75]))
 
     def test_endpoints_and_sorting(self):
         sp = _sample("smooth-sin", 8, 12)
-        pts = sp.breakpoints()
+        pts, vals = _rows(sp)
         assert pts[0] == 0.0
         assert pts[-1] == 1.0
         assert np.all(np.diff(pts) > 0)
+        k = pts.size - 1
+        assert sp.t[k - 1] < 1.0 < sp.t[k]
+        np.testing.assert_array_equal(pts[:k], sp.t[:k])
+        np.testing.assert_array_equal(vals, np.append(sp.y[:k], sp.evaluate_many([1.0])))
 
     def test_affine_between_breakpoints(self):
         # midpoint of every segment equals the endpoint average
         for name in ("smooth-sin", "holder-root"):
             sp = _sample(name, 8, 13)
-            pts = sp.breakpoints()
-            vals = sp.evaluate_many(pts)
+            pts, vals = _rows(sp)
             mids = (pts[:-1] + pts[1:]) / 2
             mid_vals = sp.evaluate_many(mids)
             np.testing.assert_allclose(
