@@ -45,26 +45,16 @@ EXHAUSTED = 1
 BOUNDS_BREACH = 2
 
 
-def _min(u, v):
-    return v if v < u else u
-
-
-def _max(u, v):
-    return v if v > u else u
-
-
 #: (sin, pow, min, max) on Python floats and on arrays. np.float_power is
-#: libm's pow, as math.pow is; numpy's vector ** is not, on every CPU. _min
-#: and _max are builtin min(u, v) and max(u, v) for two arguments, the same
-#: rule (the second wins only if strictly smaller or larger, so a NaN or a
-#: signed zero comes back from the same position), without the builtins'
-#: generic iteration on every call.
-SCALAR_OPS = (sin, pow, _min, _max)
+#: libm's pow, as math.pow is; numpy's vector ** is not, on every CPU. min and
+#: max are the builtins, which the loops inline: the second argument wins only
+#: if strictly smaller or larger, which fixes which NaN or signed zero returns.
+SCALAR_OPS = (sin, pow, min, max)
 VECTOR_OPS = (np.sin, np.float_power, np.minimum, np.maximum)
 
 
 class _Conditionals(ast.NodeTransformer):
-    # Writes each min(u, v) and max(u, v) as _min's and _max's own conditional,
+    # Writes each min(u, v) and max(u, v) as the builtins' own conditional,
     # v if v < u else u, with u bound once by a walrus (v, a name or a
     # constant in every formula, is read twice).
     def visit_Call(self, node):

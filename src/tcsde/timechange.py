@@ -111,13 +111,6 @@ class PiecewiseLinearPath:
     def knot_count(self) -> int:
         return len(self.y)
 
-    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation of the linear interpolant of the knots."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and (t.min() < 0.0 or t.max() > self.sde_horizon):
-            raise ValueError("SDE times outside the sample path domain")
-        return _kernels.pl_eval_many(self.t, self.y, t)
-
 
 @dataclass(frozen=True)
 class SamplePath(PiecewiseLinearPath):

@@ -88,8 +88,8 @@ def em_recursion(driver_values, n, sigma, t_end, x0):
     return values
 
 
-#: (sin, pow, min, max) with the builtin min and max, which the package's
-#: SCALAR_OPS replaced by two-argument functions
+#: (sin, pow, min, max) with the builtin min and max, spelled here apart from
+#: the package's SCALAR_OPS, so that the oracles do not read what they check
 BUILTIN_SCALAR_OPS = (math.sin, math.pow, min, max)
 
 
@@ -207,6 +207,29 @@ def pl_sup_merge(ta, ya, tb, yb, t_hi):
             best = d
         if last:
             return best
+
+
+def inverse_clock_bound_excess(paths, resolutions, t_end, c2, clock_hi):
+    """Largest amount, over the ladder levels, by which the sup over [0, t_end]
+    of |inverse clock - the reference's| exceeds c2^2 times the sup of
+    |clock - the reference's|, both sups by the merge walk.
+
+    paths maps each resolution, the reference's the largest, to a time-change
+    path. Its inverse clock is (clock, k/n) and its clock (k/n, clock). The
+    paper's bound compares the clocks on the Brownian times [0, c2^2 t_end],
+    the range of an inverse clock on [0, t_end]; pass clock_hi = c2^2 t_end
+    for that domain, or inf to compare them wherever both are built.
+    """
+    ref = paths[max(paths)]
+    ref_s = np.arange(ref.t.shape[0]) / max(paths)
+    excess = -np.inf
+    for n in resolutions:
+        path = paths[n]
+        s = np.arange(path.t.shape[0]) / n
+        inv_sup = pl_sup_merge(path.t, s, ref.t, ref_s, t_end)
+        clk_sup = pl_sup_merge(s, path.t, ref_s, ref.t, min(s[-1], ref_s[-1], clock_hi))
+        excess = max(excess, inv_sup - c2**2 * clk_sup)
+    return excess
 
 
 def fit_slope_polyfit(ns, errors):

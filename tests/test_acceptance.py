@@ -164,7 +164,7 @@ def test_criterion_2_constant_sigma_oracle():
             )
             ts = np.arange(sp.time_change.knot_count) / (n * 4.0)
             ts = ts[ts <= 1.0]
-            exact = sp.evaluate_many(ts) == coarse.values[: len(ts)]
+            exact = _kernels.pl_eval_many(sp.t, sp.y, ts) == coarse.values[: len(ts)]
             assert np.all(exact), (i, n, np.flatnonzero(~exact))
 
     cfg = ExperimentConfig(

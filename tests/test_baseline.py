@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from strategies import SEED
+from tcsde import _kernels
 from tcsde.baseline import em_simulate
 from tcsde.brownian import BrownianPath, generate_path
 from tcsde.diffusion import builtin_coefficient
@@ -63,7 +64,7 @@ class TestContinuousComparisonPath:
     def test_interpolates_between_iterates(self):
         c = builtin_coefficient("smooth-sin", [2.0, 1.0])
         em = em_simulate(c, _driver(4, 1.25, 3), 1.0, 0.0)
-        mid = em.evaluate_many(np.array([1 / 8]))[0]
+        mid = _kernels.pl_eval_many(em.t, em.y, np.array([1 / 8]))[0]
         assert mid == pytest.approx((em.y[0] + em.y[1]) / 2, rel=1e-14)
 
     def test_breakpoints_clip_at_horizon(self):
@@ -78,7 +79,7 @@ class TestContinuousComparisonPath:
             pts, vals = np.array(rows, dtype=np.float64).T
             assert pts[0] == 0.0 and pts[-1] == t_end
             assert np.all(np.diff(pts) > 0)
-            np.testing.assert_array_equal(vals, em.evaluate_many(pts))
+            np.testing.assert_array_equal(vals, _kernels.pl_eval_many(em.t, em.y, pts))
 
 
 class TestSelfConvergence:
@@ -96,7 +97,9 @@ class TestSelfConvergence:
                 em_n = em_simulate(c, fine.subsample(ref // n), 1.0, 0.0)
                 grid = np.union1d(em_n.t, em_ref.t)
                 grid = grid[grid <= 1.0]
-                diff = em_n.evaluate_many(grid) - em_ref.evaluate_many(grid)
+                diff = _kernels.pl_eval_many(em_n.t, em_n.y, grid) - _kernels.pl_eval_many(
+                    em_ref.t, em_ref.y, grid
+                )
                 errors[i, j] = np.max(np.abs(diff))
         med = np.median(errors, axis=0)
         assert np.all(np.diff(med) < 0), med
@@ -114,10 +117,10 @@ class TestSelfConvergence:
             fine = _driver(ref, 1.0, i)
             em_ref = em_simulate(c, fine, 1.0, 0.0)
             grid = em_ref.t[em_ref.t <= 1.0]
-            ref_vals = em_ref.evaluate_many(grid)
+            ref_vals = _kernels.pl_eval_many(em_ref.t, em_ref.y, grid)
             for j, n in enumerate(ladder):
                 em_n = em_simulate(c, fine.subsample(ref // n), 1.0, 0.0)
-                diff = em_n.evaluate_many(grid) - ref_vals
+                diff = _kernels.pl_eval_many(em_n.t, em_n.y, grid) - ref_vals
                 sums[j] += np.max(np.abs(diff)) ** 2
         rate, _ = fit_loglog(ladder, np.sqrt(sums / m))
         assert 0.4 <= rate <= 0.6, rate

@@ -321,6 +321,7 @@ class TestCmdDumpPath:
         main(["dump-path", str(config_file), "--sample", "1", "--n", "16", "--out", str(out)])
         lines = (out / "path-1-16.csv").read_text().strip().splitlines()[1:]
 
+        from tcsde import _kernels
         from tcsde.brownian import generate_path
         from tcsde.diffusion import builtin_coefficient
         from tcsde.timechange import SamplePath, build_time_change, required_horizon
@@ -337,7 +338,7 @@ class TestCmdDumpPath:
         k = int(np.searchsorted(sp.t, 1.0))
         assert sp.t[k] > 1.0
         pts = np.append(sp.t[:k], 1.0)
-        vals = np.append(sp.y[:k], sp.evaluate_many([1.0]))
+        vals = np.append(sp.y[:k], _kernels.pl_eval_many(sp.t, sp.y, [1.0]))
         assert len(lines) == len(pts)
         for line, t, v in zip(lines, pts, vals):
             st, sv = line.split(",")

@@ -272,6 +272,23 @@ class TestOneSample:
         assert res.bound_excess is not None
         assert res.bound_excess <= 1e-10
 
+    def test_clock_sup_is_taken_up_to_c2_squared_t(self):
+        # sigma = 1.1 is constant, so every sample's clocks step 1 / (1.21 n),
+        # and at every level both run past C2^2 T = 1.21, where the bound no
+        # longer speaks: bound_excess is the one over [0, C2^2 T]
+        cfg = _config(coefficient="constant", params=(1.1,), resolutions=(16, 64, 256),
+                      ref_resolution=1024, samples=20, master_seed=5)
+        coeff = cfg.build_coefficient()
+        paths = sample_paths(cfg, coeff, 0)
+        capped, whole = (
+            oracles.inverse_clock_bound_excess(paths, cfg.resolutions, 1.0, coeff.c2, hi)
+            for hi in (cfg.sde_horizon * coeff.c2**2, np.inf)
+        )
+        assert capped != whole
+        assert strong_error_one_sample(cfg, 0).bound_excess == capped == 9.436895709313452e-17
+        report = run_experiment(cfg, jobs=1)
+        assert report["diagnostics"]["inverse_clock_bound_max_excess"] == capped
+
     def test_em_sample_has_no_clock_diagnostics(self):
         cfg = _config(scheme=SCHEME_EULER_MARUYAMA)
         res = strong_error_one_sample(cfg, 0)

@@ -10,9 +10,9 @@ numpy-scalar loop the package ran before (oracles.clock_seq), for every kind:
 at window edges, on exhaustion and on a bounds breach anywhere in a window.
 The Euler-Maruyama loop on Python
 floats must write the bytes of the numpy-scalar loop it replaced
-(oracles.em_values_seq), and SCALAR_OPS' two-argument min and max must return
-what the builtins return. A step with a kind's formula inlined, min and max
-written as conditionals, must give the bits of sigma_of over SCALAR_OPS.
+(oracles.em_values_seq). A step with a kind's formula inlined, min and max
+written as conditionals, must give the bits of sigma_of over SCALAR_OPS, whose
+min and max are the builtins.
 """
 
 import math
@@ -440,19 +440,6 @@ def test_sigma_ignores_t_outside_time_kinds(name, data):
 _EDGE_FLOATS = st.one_of(
     st.floats(), st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
 )
-
-
-@settings(max_examples=300)
-@given(u=_EDGE_FLOATS, v=_EDGE_FLOATS, numpy_scalar=st.booleans())
-def test_two_argument_min_max_are_the_builtins(u, v, numpy_scalar):
-    # repr tells 0.0 from -0.0 and NaN from a number, and identity tells which
-    # argument came back, so a swapped comparison or a moved NaN shows
-    if numpy_scalar:
-        u, v = np.float64(u), np.float64(v)
-    _, _, two_min, two_max = _kernels.SCALAR_OPS
-    for mine, builtin in ((two_min, min), (two_max, max)):
-        got, want = mine(u, v), builtin(u, v)
-        assert repr(got) == repr(want) and got is want, (u, v, builtin)
 
 
 #: one step of a loop on Python floats, the kind's formula inlined as the
