@@ -27,8 +27,7 @@ Kernels:
     end, read on Python floats. Each path is read at the other's knots with
     pl_eval_many's arithmetic, with no union grid. The pair is ordered sparser
     first: its knots are read by one pl_eval_many call, the denser path's in
-    blocks of whole intervals of the sparser one, so the temporaries stay
-    cache-sized.
+    one pass that holds two arrays of its length.
 """
 
 from __future__ import annotations
@@ -250,38 +249,24 @@ def pl_eval_many(knots_t: np.ndarray, knots_y: np.ndarray, t: np.ndarray) -> np.
     return np.where(last, knots_y[-1], val)
 
 
-#: Most query times per block of the sup's many-on-few route.
-SUP_BLOCK = 16384
-
-
 def _max_abs_diff_at(q, y, kt, ky, best):
     # max of best and every |y[i] - P(q[i])| (NaN if any is), P the
     # piecewise-linear path (kt, ky), for ascending q >= kt[0]: the denser
     # path's knots read in the sparser one. Each P(q[i]) is the float
     # pl_eval_many gives: the same interval, theta and interpolation. Knots are
-    # placed among the times, which halves the time of m searches, and each
-    # interval's values spread over its times in blocks of whole intervals, at
-    # most SUP_BLOCK times unless one interval holds more, so the temporaries
-    # stay in L2; full-length ones, freed to the OS, fault in fresh pages on
-    # every call. Times at or past the last knot read ky[-1].
+    # placed among the times, which halves the time of m searches. Times at or
+    # past the last knot read ky[-1].
     m = int(np.searchsorted(q, kt[-1], side="left"))
     best = np.abs(y[m:] - ky[-1]).max(initial=best)
-    edges = np.searchsorted(q, kt, side="left")
-    dt, dy = np.diff(kt), np.diff(ky)
-    i = 0
-    while i < kt.shape[0] - 1:
-        j = max(int(np.searchsorted(edges, edges[i] + SUP_BLOCK, side="right")) - 1, i + 1)
-        counts, lo, hi = np.diff(edges[i : j + 1]), edges[i], edges[j]
-        # y0 + (q - t0) / dt * dy, in place in one buffer: a fresh temporary
-        # per operation makes this route ~25% slower
-        d = q[lo:hi] - np.repeat(kt[i:j], counts)
-        d /= np.repeat(dt[i:j], counts)
-        d *= np.repeat(dy[i:j], counts)
-        d += np.repeat(ky[i:j], counts)
-        d -= y[lo:hi]
-        best = np.abs(d, out=d).max(initial=best)
-        i = j
-    return best
+    counts = np.diff(np.searchsorted(q[:m], kt, side="left"))
+    # y0 + (q - t0) / dt * dy, in place in one buffer with one repeat at a
+    # time, so at most two arrays of m floats are alive
+    d = q[:m] - np.repeat(kt[:-1], counts)
+    d /= np.repeat(np.diff(kt), counts)
+    d *= np.repeat(np.diff(ky), counts)
+    d += np.repeat(ky[:-1], counts)
+    d -= y[:m]
+    return np.abs(d, out=d).max(initial=best)
 
 
 def _read_at(kt, ky, k, t):
@@ -299,7 +284,7 @@ def pl_sup_abs_diff(ta, ya, tb, yb, t_hi) -> float:
     The difference is linear between consecutive knots of either path, so its
     sup is attained at a knot of A, a knot of B, or t_hi. A path read at its
     own knot is exact, so each side reads only the other path: the sparser
-    path's knots by one pl_eval_many call, the denser's by blocks.
+    path's knots by one pl_eval_many call, the denser's in one pass.
     """
     if ta.shape[0] > tb.shape[0]:
         ta, ya, tb, yb = tb, yb, ta, ya

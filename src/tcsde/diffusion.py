@@ -23,8 +23,9 @@ from . import _kernels
 SMOOTH = "lipschitz-smooth"
 HOLDER = "holder"
 
-#: relative slack when testing the bounds, so coefficients sitting
-#: exactly on a bound (sigma == C1) are not flagged.
+#: relative slack of the clock's bounds check. The check is strict
+#: (sigma < C1 - tol), so sigma == C1 passes at tol = 0, and every corpus
+#: kind's sigma stays inside [C1, C2] exactly: no buildable kind needs it.
 BOUND_TOL = 1e-12
 
 

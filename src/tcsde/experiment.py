@@ -236,7 +236,8 @@ def _driver_horizon(config: ExperimentConfig, coeff: DiffusionCoefficient, schem
 
 def _sample_bytes(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme: str) -> float:
     """Most bytes one sample of scheme holds: a rate a knot of every level's
-    driver, which is the drawn reference driver or a subsample (a view) of it.
+    driver, which is the drawn reference driver or a copy of its every
+    (ref_resolution / n)-th knot.
 
     An array takes 8 B a knot, a Python float 24, and a list 8 a pointer and
     up to 1 more as it grows. Euler-Maruyama holds the most while it steps a
@@ -246,7 +247,7 @@ def _sample_bytes(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme:
     holds the driver (16 while it is drawn), its clocks and the reference's
     knots_s, 8 each. It holds the most while the loop builds a clock: the
     driver, the clock's list and its array. The sweep's buffer takes 8, and a
-    sup reads a ladder level with 41 B a knot of temporaries.
+    sup holds about 16 B a knot of the denser path up to t_hi.
     """
     horizon = _driver_horizon(config, coeff, scheme)
     knots = sum(n * horizon + 1 for n in (config.ref_resolution,) + config.resolutions)

@@ -100,6 +100,28 @@ MUTANTS = (
     ("src/tcsde/experiment.py",
      "return (8 + (24 + 9) + 8) * knots",
      "return (8 + 8) * knots"),
+    # the sup's one pass places a denser knot that equals a sparser one in the
+    # interval before it
+    ("src/tcsde/_kernels.py",
+     'counts = np.diff(np.searchsorted(q[:m], kt, side="left"))',
+     'counts = np.diff(np.searchsorted(q[:m], kt, side="right"))'),
+    # the sup's one pass multiplies by dy before it divides by dt
+    ("src/tcsde/_kernels.py",
+     "d /= np.repeat(np.diff(kt), counts)\n    d *= np.repeat(np.diff(ky), counts)",
+     "d *= np.repeat(np.diff(ky), counts)\n    d /= np.repeat(np.diff(kt), counts)"),
+    # the clock's Picard sweep takes a time-dependent sigma's first pass as
+    # exact
+    ("src/tcsde/_kernels.py",
+     "timed = reads_t(kind)",
+     "timed = False"),
+    # config refusal: p below 1
+    ("src/tcsde/experiment.py",
+     "lambda v: math.isfinite(v) and v >= 1,",
+     "lambda v: math.isfinite(v) and v > 0,"),
+    # the samples reduced out of index order at --jobs 1
+    ("src/tcsde/experiment.py",
+     "return [_run_sample(config, i) for i in indices]",
+     "return [_run_sample(config, i) for i in reversed(indices)]"),
 )
 
 

@@ -171,9 +171,16 @@ class TestCorpusValidation:
 
     def test_shared_tables_cover_the_corpus(self):
         # a kind missing here would silently skip every test that loops
-        # over CORPUS_PARAMS, acceptance criterion 1 and the clock tests too
+        # over that table: CORPUS_PARAMS (acceptance criterion 1 among them),
+        # the clock and EM byte tests, the --jobs cases and the config space
+        from test_experiment import _CORPUS_PARAMS, _KINDS
+        from test_kernels import CLOCK_CASES
+
         assert sorted(CORPUS_PARAMS) == corpus_names()
         assert sorted(HOLDER_CONST) == corpus_names()
+        assert sorted(_CORPUS_PARAMS) == corpus_names()
+        for cases in (CLOCK_CASES, _KINDS):
+            assert sorted({name for name, _ in cases}) == corpus_names()
 
 
 class TestCheckContract:

@@ -2,17 +2,16 @@
 
 The sup reads each path at the other's knots; it contains no transcendentals
 and must agree bit for bit with the merge-walk oracle and the union-grid
-oracle (tests/oracles.py), at every block size of its many-on-few route and
-on every sup a smooth-sin or time-smooth sample takes. Both routes of the
-clock, the loop on Python floats and the sliding Picard sweep (at every
-window size in WINDOWS), must agree bit for bit, and in (k, status), with the
-numpy-scalar loop the package ran before (oracles.clock_seq), for every kind:
-at window edges, on exhaustion and on a bounds breach anywhere in a window.
-The Euler-Maruyama loop on Python
-floats must write the bytes of the numpy-scalar loop it replaced
-(oracles.em_values_seq). A step with a kind's formula inlined, min and max
-written as conditionals, must give the bits of sigma_of over SCALAR_OPS, whose
-min and max are the builtins.
+oracle (tests/oracles.py), on edge cases, on drawn pairs and on every sup a
+smooth-sin or time-smooth sample takes. Both routes of the clock, the loop on
+Python floats and the sliding Picard sweep (at every window size in
+WINDOWS), must agree bit for bit, and in (k, status), with the numpy-scalar
+loop the package ran before (oracles.clock_seq), for every kind: at window
+edges, on exhaustion and on a bounds breach anywhere in a window. The
+Euler-Maruyama loop on Python floats must write the bytes of the numpy-scalar
+loop it replaced (oracles.em_values_seq). A step with a kind's formula
+inlined, min and max written as conditionals, must give the bits of sigma_of
+over SCALAR_OPS, whose min and max are the builtins.
 """
 
 import math
@@ -30,10 +29,6 @@ from tcsde.brownian import generate_path
 from tcsde.diffusion import _CORPUS, _build_sine, builtin_coefficient
 from tcsde.experiment import ExperimentConfig, run_experiment, strong_error_one_sample
 from tcsde.timechange import required_horizon
-
-CORPUS_PARAMS = {
-    "holder-root": [1.0, 1.0, 0.5, 0.0],
-}
 
 
 def _random_pl(rng, knots, scale=1.0):
@@ -96,7 +91,7 @@ def _smooth_driver(knots):
 class TestClockLanes:
     def test_cumsum_identical_to_interpreted_loop(self):
         # non-transcendental kind: the sweep and the loop must agree exactly
-        c = builtin_coefficient("holder-root", CORPUS_PARAMS["holder-root"])
+        c = builtin_coefficient("holder-root", [1.0, 1.0, 0.5, 0.0])
         driver = generate_path(32, 10.0, 0.0, SEED, 1)
         _all_clocks(c.kernel_kind, c.kernel_params, driver.values, 1.0 / 32, 1.0,
                     c.c1, c.c2, c.bound_tolerance)
@@ -490,26 +485,18 @@ def test_sigma_of_compiles_once_per_kind():
             assert one.__code__ is two.__code__
 
 
-#: block sizes of the sup's many-on-few route: blocks that split the times
-#: of one interval or end between intervals, and the one the package runs
-BLOCKS = [1, 2, 3, 7, _kernels.SUP_BLOCK]
-
-
-def _sups(ta, ya, tb, yb, t_hi, block=_kernels.SUP_BLOCK):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "SUP_BLOCK", block)
-        got = _kernels.pl_sup_abs_diff(ta, ya, tb, yb, t_hi)
+def _sups(ta, ya, tb, yb, t_hi):
     return (
         oracles.pl_sup_merge(ta, ya, tb, yb, t_hi),
-        got,
+        _kernels.pl_sup_abs_diff(ta, ya, tb, yb, t_hi),
         oracles.pl_sup_union(ta, ya, tb, yb, t_hi),
     )
 
 
-def _both_ways(coarse, fine, t_hi, block):
+def _both_ways(coarse, fine, t_hi):
     """Assert both argument orders agree bit for bit with both oracles."""
     for pair in (coarse + fine, fine + coarse):
-        a, b, c = _sups(*pair, t_hi, block)
+        a, b, c = _sups(*pair, t_hi)
         assert a == b == c
 
 
@@ -602,38 +589,34 @@ class TestSupLanes:
                 t_coarse, y_coarse = _random_pl(rng, rng.integers(1, 8), scale=3.0)
                 t_coarse *= 0.7 * t_fine[-1] / t_coarse[-1]
                 t_hi = float(t_fine[-1])
-            for block in BLOCKS:
-                _both_ways((t_coarse, y_coarse), (t_fine, y_fine), t_hi, block)
+            _both_ways((t_coarse, y_coarse), (t_fine, y_fine), t_hi)
 
     @settings(max_examples=300, deadline=None)
-    @given(_path_pairs(), st.sampled_from(BLOCKS))
-    @example(_ONE + _THREE + (0.5,), 1)
-    @example(_THREE + _ONE + (0.5,), 1)
-    @example(_ONE + _THREE + (2.0,), 1)
-    @example(_THREE + _ONE + (0.0,), 1)
-    @example(_ONE + (_ONE[0], -_ONE[1]) + (0.0,), 1)
-    def test_two_sided_sup_property(self, pair, block):
+    @given(_path_pairs())
+    @example(_ONE + _THREE + (0.5,))
+    @example(_THREE + _ONE + (0.5,))
+    @example(_ONE + _THREE + (2.0,))
+    @example(_THREE + _ONE + (0.0,))
+    @example(_ONE + (_ONE[0], -_ONE[1]) + (0.0,))
+    def test_two_sided_sup_property(self, pair):
         ta, ya, tb, yb, t_hi = pair
-        a, b, c = _sups(ta, ya, tb, yb, t_hi, block)
+        a, b, c = _sups(ta, ya, tb, yb, t_hi)
         assert a == b == c
         grid = np.append(np.union1d(ta[ta <= t_hi], tb[tb <= t_hi]), t_hi)
         assert b == pytest.approx(
             oracles.pl_sup_on_grid(ta, ya, tb, yb, grid), rel=1e-12, abs=1e-9
         )
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_interval_longer_than_block(self, block):
-        # the first coarse interval holds 50 dense times, more than a small
-        # block, so it makes a block of its own; the second holds 5
+    def test_intervals_of_unequal_length(self):
+        # the first coarse interval holds 50 dense times, the second 5
         rng = np.random.default_rng(12)
         t_fine = np.concatenate([np.arange(50) / 50, 1.0 + np.arange(6) / 5])
         y_fine = rng.normal(0.0, 1.0, t_fine.size)
         coarse = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, -1.0]))
         for t_hi in (0.5, 1.0, 1.7, 2.0):
-            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+            _both_ways(coarse, (t_fine, y_fine), t_hi)
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_empty_intervals(self, block):
+    def test_empty_intervals(self):
         # coarse knots between two dense knots leave intervals that hold no
         # dense time: one alone, a run of two, and the last two
         rng = np.random.default_rng(13)
@@ -642,10 +625,9 @@ class TestSupLanes:
         t_coarse = np.array([0.0, 0.001, 0.002, 0.301, 0.302, 0.303, 0.5, 0.999, 0.9995, 1.0])
         coarse = (t_coarse, rng.normal(0.0, 3.0, t_coarse.size))
         for t_hi in (0.0015, 0.3025, 0.4, 0.9997, 1.0):
-            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+            _both_ways(coarse, (t_fine, y_fine), t_hi)
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_t_hi_around_last_whole_interval(self, block):
+    def test_t_hi_around_last_whole_interval(self):
         # aligned grids, as a ladder path's clock against the reference's:
         # the coarse knots are every 8th dense knot and stop at 1.0, before
         # the dense path does. t_hi lies inside the last whole coarse
@@ -655,11 +637,13 @@ class TestSupLanes:
         y_fine = np.cumsum(rng.normal(0.0, 1.0, 81))
         coarse = (t_fine[:65:8], y_fine[:65:8] + rng.normal(0.0, 0.5, 9))
         for t_hi in (0.9, 61 / 64, 0.99, 1.0, 1.1, 1.25):
-            _both_ways(coarse, (t_fine, y_fine), t_hi, block)
+            _both_ways(coarse, (t_fine, y_fine), t_hi)
 
-    def test_working_set_does_not_grow_with_reference(self):
-        # a 16-knot path against a reference of 2^18 knots: the reference's
-        # times are read a block at a time, so no temporary is full-length
+    def test_working_set_is_two_arrays_of_the_denser_path(self):
+        # a 16-knot path against a reference of 2^18 + 1 knots: the
+        # reference's knots are read in one pass with at most two arrays of
+        # their length alive, 16 B a knot; reading them through pl_eval_many
+        # would hold several more
         rng = np.random.default_rng(15)
         n_ref = 2**18
         t_ref = np.arange(n_ref + 1) / n_ref
@@ -671,7 +655,7 @@ class TestSupLanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _kernels.SUP_BLOCK * 8
+        assert peak <= 24 * t_ref.size
         assert got == oracles.pl_sup_union(t_c, y_c, t_ref, y_ref, 1.0)
 
     @pytest.mark.parametrize("name", ["smooth-sin", "time-smooth"])
@@ -719,33 +703,28 @@ class TestSupLanes:
                 if t_hi <= min(pair[0][-1], pair[2][-1]):
                     assert got == oracles.pl_sup_merge(*pair, t_hi)
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_nan_anywhere_in_either_path(self, block):
+    def test_nan_anywhere_in_either_path(self):
         # a NaN put in turn at every value of either path, before t_hi, at the
         # ends of the interval that holds it, and after it: the sup is NaN
         # exactly for the values up to that interval's right end, as the
         # three-read sup was, and has its bytes elsewhere. t_hi lies on a knot
-        # of the dense path, between two, and at the end of both. The dense
-        # path is read in blocks, so the running max also goes through the
-        # many-on-few route
+        # of the dense path, between two, and at the end of both
         rng = np.random.default_rng(16)
         t_fine, y_fine = _random_pl(rng, 40)
         coarse = (t_fine[::8], y_fine[::8] + rng.normal(0.0, 1.0, 6))
         fine = (t_fine, y_fine)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "SUP_BLOCK", block)
-            for t_hi in (t_fine[20], (t_fine[21] + t_fine[22]) / 2, t_fine[-1]):
-                for pair in (coarse + fine, fine + coarse):
-                    for side in (1, 3):
-                        k = int(np.searchsorted(pair[side - 1], t_hi, side="right"))
-                        for i in range(pair[side].size):
-                            y = pair[side].copy()
-                            y[i] = np.nan
-                            bad = pair[:side] + (y,) + pair[side + 1 :]
-                            got = _kernels.pl_sup_abs_diff(*bad, t_hi)
-                            want = oracles.pl_sup_three_reads(*bad, t_hi)
-                            assert math.isnan(got) == math.isnan(want) == (i <= k)
-                            assert math.isnan(got) or got == want
+        for t_hi in (t_fine[20], (t_fine[21] + t_fine[22]) / 2, t_fine[-1]):
+            for pair in (coarse + fine, fine + coarse):
+                for side in (1, 3):
+                    k = int(np.searchsorted(pair[side - 1], t_hi, side="right"))
+                    for i in range(pair[side].size):
+                        y = pair[side].copy()
+                        y[i] = np.nan
+                        bad = pair[:side] + (y,) + pair[side + 1 :]
+                        got = _kernels.pl_sup_abs_diff(*bad, t_hi)
+                        want = oracles.pl_sup_three_reads(*bad, t_hi)
+                        assert math.isnan(got) == math.isnan(want) == (i <= k)
+                        assert math.isnan(got) or got == want
 
     def test_sup_attained_at_knot(self):
         ta = np.array([0.0, 1.0])

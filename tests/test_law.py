@@ -1,5 +1,5 @@
-"""Law anchor: the scheme's X_T against a closed-form law, not only against
-finer levels of itself.
+"""Law anchors: the scheme's X_T against a closed-form law and against
+Euler-Maruyama's, not only against finer levels of itself.
 
 Oscillating Brownian motion (J. Keilson and J. A. Wellner, "Oscillating
 Brownian motion", J. Appl. Probab. 15, 1978) solves dX = sigma(X) dW with
@@ -24,16 +24,27 @@ F. The seed, the sample count, n and the threshold p > 1e-3 were fixed before
 the first run. The test has power: a ramp 0.5 wide, which is a different
 process, fails it (p = 2.4e-6), and so does a clock stepped at 1 / sigma
 instead of 1 / sigma^2.
+
+Where Euler-Maruyama converges (beta >= 1/2), both schemes approximate the
+one weak solution, so their X_T share one law. For smooth-sin (2, 1) and
+holder-root (1, 1, 0.6, 0), a two-sample Kolmogorov-Smirnov test compares the
+time change's X_T with Euler-Maruyama's, each scheme on its own Philox
+purpose, for the same samples at the same n, with the same threshold, fixed
+before the first run. A clock stepped at 1 / sigma fails the smooth-sin case
+(p = 1.8e-14); the holder-root case, whose sigma lies in [1, 2], does not
+tell it apart at this size (p = 0.0012).
 """
 
 import numpy as np
-from scipy.stats import kstest, norm
+import pytest
+from scipy.stats import ks_2samp, kstest, norm
 
 from strategies import SEED
 from tcsde import _kernels
+from tcsde.baseline import em_simulate
 from tcsde.brownian import generate_path
 from tcsde.diffusion import builtin_coefficient
-from tcsde.experiment import PURPOSE_TIME_CHANGE
+from tcsde.experiment import PURPOSE_EULER_MARUYAMA, PURPOSE_TIME_CHANGE
 from tcsde.timechange import build_time_change, required_horizon
 
 S1, S2, T, N, SAMPLES = 1.0, 3.0, 1.0, 128, 2000
@@ -46,10 +57,13 @@ def _oscillating_cdf(x):
     return np.where(x < 0, below, above)
 
 
-def _x_at_t(width):
-    # X_T of samples 0..SAMPLES-1, each on the driver the experiment draws for
-    # a ladder from N
-    coeff = builtin_coefficient("step-mollified", [S1, S2, 0.0, width])
+def _step(width):
+    return builtin_coefficient("step-mollified", [S1, S2, 0.0, width])
+
+
+def _x_at_t(coeff):
+    # X_T of samples 0..SAMPLES-1 by the time change, each on the driver the
+    # experiment draws for a ladder from N
     horizon = required_horizon(coeff, T, N)
     xs = np.empty(SAMPLES)
     for i in range(SAMPLES):
@@ -59,8 +73,28 @@ def _x_at_t(width):
     return xs
 
 
+def _em_x_at_t(coeff):
+    # X_T of samples 0..SAMPLES-1 by Euler-Maruyama at N, as the experiment
+    # draws its drivers
+    xs = np.empty(SAMPLES)
+    for i in range(SAMPLES):
+        driver = generate_path(N, T, 0.0, SEED, i, PURPOSE_EULER_MARUYAMA)
+        xs[i] = em_simulate(coeff, driver, T, 0.0).y[-1]
+    return xs
+
+
 def test_step_sigma_gives_oscillating_brownian_motion_at_t():
-    xs = _x_at_t(1e-9)
+    xs = _x_at_t(_step(1e-9))
     assert kstest(xs, _oscillating_cdf).pvalue > 1e-3
     # the anchor has power: a wide ramp is another process, and it fails
-    assert kstest(_x_at_t(0.5), _oscillating_cdf).pvalue <= 1e-3
+    assert kstest(_x_at_t(_step(0.5)), _oscillating_cdf).pvalue <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("smooth-sin", [2.0, 1.0]), ("holder-root", [1.0, 1.0, 0.6, 0.0])],
+    ids=["smooth-sin", "holder-root-0.6"],
+)
+def test_time_change_and_euler_maruyama_share_the_law_at_t(name, params):
+    coeff = builtin_coefficient(name, params)
+    assert ks_2samp(_x_at_t(coeff), _em_x_at_t(coeff)).pvalue > 1e-3

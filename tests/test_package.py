@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mutants
 import tcsde
 from tcsde.cli import main
 
@@ -75,3 +76,9 @@ def test_failing_property_test_is_reported_not_an_internal_error(tmp_path):
     assert out.returncode == 1, out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
     assert "INTERNALERROR" not in out.stdout + out.stderr
+
+
+def test_every_mutant_text_is_found_once():
+    # tests/mutants.py runs outside the suite; a change that moves the text of
+    # one of its rows fails here, not at the next mutant run
+    assert mutants.main(["--check"]) == 0
