@@ -2,8 +2,9 @@
 
 The sup reads each path at the other's knots; it contains no transcendentals
 and must agree bit for bit with the merge-walk oracle and the union-grid
-oracle (tests/oracles.py), on edge cases, on drawn pairs and on every sup a
-smooth-sin or time-smooth sample takes. Both routes of the clock, the loop on
+oracle (tests/oracles.py), on edge cases with the values at every scale in
+SCALES, on drawn pairs and on every sup a smooth-sin or time-smooth sample
+takes. Both routes of the clock, the loop on
 Python floats and the sliding Picard sweep (at every window size in
 WINDOWS), must agree bit for bit, and in (k, status), with the numpy-scalar
 loop the package ran before (oracles.clock_seq), for every kind: at window
@@ -493,11 +494,20 @@ def _sups(ta, ya, tb, yb, t_hi):
     )
 
 
-def _both_ways(coarse, fine, t_hi):
-    """Assert both argument orders agree bit for bit with both oracles."""
-    for pair in (coarse + fine, fine + coarse):
-        a, b, c = _sups(*pair, t_hi)
+#: scales of both paths' values: a power of two scales every rounding of the
+#: sup exactly, so the sup scales with it; 3 and 7 round differently
+SCALES = [1, 2, 3, 7, 16384]
+
+
+def _both_ways(coarse, fine, t_hi, scale=1):
+    """Assert both argument orders, values times scale, agree bit for bit
+    with both oracles, and at a power-of-two scale with scale times the
+    unscaled sup."""
+    for ta, ya, tb, yb in (coarse + fine, fine + coarse):
+        a, b, c = _sups(ta, scale * ya, tb, scale * yb, t_hi)
         assert a == b == c
+        if scale & (scale - 1) == 0:
+            assert b == scale * _kernels.pl_sup_abs_diff(ta, ya, tb, yb, t_hi)
 
 
 _steps = st.lists(st.floats(1e-3, 1.0), max_size=30)
@@ -607,16 +617,19 @@ class TestSupLanes:
             oracles.pl_sup_on_grid(ta, ya, tb, yb, grid), rel=1e-12, abs=1e-9
         )
 
-    def test_intervals_of_unequal_length(self):
-        # the first coarse interval holds 50 dense times, the second 5
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_interval_longer_than_block(self, scale):
+        # the first coarse interval holds a block of 50 dense times, the
+        # second one of 5
         rng = np.random.default_rng(12)
         t_fine = np.concatenate([np.arange(50) / 50, 1.0 + np.arange(6) / 5])
         y_fine = rng.normal(0.0, 1.0, t_fine.size)
         coarse = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, -1.0]))
         for t_hi in (0.5, 1.0, 1.7, 2.0):
-            _both_ways(coarse, (t_fine, y_fine), t_hi)
+            _both_ways(coarse, (t_fine, y_fine), t_hi, scale)
 
-    def test_empty_intervals(self):
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_empty_intervals(self, scale):
         # coarse knots between two dense knots leave intervals that hold no
         # dense time: one alone, a run of two, and the last two
         rng = np.random.default_rng(13)
@@ -625,9 +638,10 @@ class TestSupLanes:
         t_coarse = np.array([0.0, 0.001, 0.002, 0.301, 0.302, 0.303, 0.5, 0.999, 0.9995, 1.0])
         coarse = (t_coarse, rng.normal(0.0, 3.0, t_coarse.size))
         for t_hi in (0.0015, 0.3025, 0.4, 0.9997, 1.0):
-            _both_ways(coarse, (t_fine, y_fine), t_hi)
+            _both_ways(coarse, (t_fine, y_fine), t_hi, scale)
 
-    def test_t_hi_around_last_whole_interval(self):
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_t_hi_around_last_whole_interval(self, scale):
         # aligned grids, as a ladder path's clock against the reference's:
         # the coarse knots are every 8th dense knot and stop at 1.0, before
         # the dense path does. t_hi lies inside the last whole coarse
@@ -637,7 +651,7 @@ class TestSupLanes:
         y_fine = np.cumsum(rng.normal(0.0, 1.0, 81))
         coarse = (t_fine[:65:8], y_fine[:65:8] + rng.normal(0.0, 0.5, 9))
         for t_hi in (0.9, 61 / 64, 0.99, 1.0, 1.1, 1.25):
-            _both_ways(coarse, (t_fine, y_fine), t_hi)
+            _both_ways(coarse, (t_fine, y_fine), t_hi, scale)
 
     def test_working_set_is_two_arrays_of_the_denser_path(self):
         # a 16-knot path against a reference of 2^18 + 1 knots: the
@@ -703,16 +717,18 @@ class TestSupLanes:
                 if t_hi <= min(pair[0][-1], pair[2][-1]):
                     assert got == oracles.pl_sup_merge(*pair, t_hi)
 
-    def test_nan_anywhere_in_either_path(self):
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_nan_anywhere_in_either_path(self, scale):
         # a NaN put in turn at every value of either path, before t_hi, at the
         # ends of the interval that holds it, and after it: the sup is NaN
         # exactly for the values up to that interval's right end, as the
         # three-read sup was, and has its bytes elsewhere. t_hi lies on a knot
-        # of the dense path, between two, and at the end of both
+        # of the dense path, between two, and at the end of both. Both paths'
+        # values are scaled by scale
         rng = np.random.default_rng(16)
         t_fine, y_fine = _random_pl(rng, 40)
-        coarse = (t_fine[::8], y_fine[::8] + rng.normal(0.0, 1.0, 6))
-        fine = (t_fine, y_fine)
+        coarse = (t_fine[::8], scale * (y_fine[::8] + rng.normal(0.0, 1.0, 6)))
+        fine = (t_fine, scale * y_fine)
         for t_hi in (t_fine[20], (t_fine[21] + t_fine[22]) / 2, t_fine[-1]):
             for pair in (coarse + fine, fine + coarse):
                 for side in (1, 3):
