@@ -13,9 +13,10 @@ Kernels:
     Two routes give the same bytes. A Picard sweep runs cumsum passes over a
     window that slides with the last exact knot, resuming from it. A
     time-dependent sigma at a resolution below CLOCK_LOOP_BELOW (4096, timed
-    at clock_knots_kind) runs the recursion as a loop over Python floats,
-    where the sweep's start-up passes cost more. Both add in the order of the
-    numpy-scalar loop they replaced, which the tests keep as their oracle;
+    at clock_knots_kind) runs the recursion as a loop over Python floats read
+    through a memoryview, as Euler-Maruyama's are, where the sweep's start-up
+    passes cost more. Both add in the order of the numpy-scalar loop they
+    replaced, which the tests keep as their oracle;
   * Euler-Maruyama recursion: an interpreted loop over Python floats. It
     reads the increments, and the knot times k/n only for a kind that reads
     t, through memoryviews, a Python float at a time, so no step boxes a
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import ast
 import functools
-from itertools import chain
 from math import inf, pow, sin
 
 import numpy as np
@@ -115,18 +115,15 @@ def compiled(xs, inv_n, t_end, lo, hi, a, b=0.0, c=0.0, d=0.0):
 
 def _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol):
     # _CLOCK_LOOP; returns (knots, k, status), on BOUNDS_BREACH k the bad
-    # step. It reads the driver as lists of CLOCK_WINDOW knots, only as far
-    # as the clock goes: a ladder driver holds over twice the knots it uses.
-    head = driver[:-1]
-    xs = chain.from_iterable(
-        head[j : j + CLOCK_WINDOW].tolist() for j in range(0, head.shape[0], CLOCK_WINDOW)
-    )
+    # step. It reads the driver through a memoryview only as far as the
+    # clock goes: a ladder driver holds over twice the knots it uses.
     loop = _compiled(kind, _CLOCK_LOOP)
-    clock, status = loop(xs, inv_n, t_end, lo - tol, hi + tol, *map(float, p))
+    clock, status = loop(memoryview(driver[:-1]), inv_n, t_end, lo - tol, hi + tol,
+                         *map(float, p))
     return np.array(clock, dtype=np.float64), len(clock) - 1, status
 
 
-#: Knots per pass of the clock's Picard sweep, and per list the loop reads.
+#: Knots per pass of the clock's Picard sweep.
 CLOCK_WINDOW = 4096
 #: A time-dependent clock at a resolution n below this runs the loop.
 CLOCK_LOOP_BELOW = 4096
@@ -205,8 +202,8 @@ def clock_knots_kind(kind, p, driver, inv_n, t_end, lo, hi, tol):
     about 6 sigma evaluations per knot at n = 2^14, plus a start-up of
     one-knot passes that a short clock cannot amortize. So it runs the loop
     when n < CLOCK_LOOP_BELOW. On 2 vCPUs, medians per 2 + sin(x + t) clock
-    with T = 1 over 24 drivers, loop vs sweep: 0.75 vs 1.22 ms at n = 1024,
-    1.54 vs 1.82 at 2048, 3.53 vs 2.76 at 4096, 7.18 vs 4.74 at 8192.
+    with T = 1 over 24 drivers, loop vs sweep: 0.68 vs 1.22 ms at n = 1024,
+    1.38 vs 1.66 at 2048, 2.75 vs 2.63 at 4096, 5.61 vs 4.19 at 8192.
     """
     if reads_t(kind) and 1.0 / inv_n < CLOCK_LOOP_BELOW:
         return _clock_seq(kind, p, driver, inv_n, t_end, lo, hi, tol)

@@ -71,7 +71,7 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         value = value.strip()
         if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value")
+            raise ConfigError(f"{path}:{lineno}: empty key or value, got {raw!r}")
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         mapping[key] = value

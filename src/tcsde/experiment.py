@@ -176,7 +176,7 @@ class ExperimentConfig:
         if self.ref_resolution < 4 * max(self.resolutions):
             raise ConfigError(
                 f"ref_resolution: {self.ref_resolution} must be at least 4x the "
-                f"largest ladder resolution {max(self.resolutions)}"
+                f"largest of resolutions, {max(self.resolutions)}"
             )
         coeff = self.build_coefficient()
         if self.scheme != SCHEME_TIME_CHANGE and coeff.holder_beta < 0.5:

@@ -122,6 +122,31 @@ MUTANTS = (
     ("src/tcsde/experiment.py",
      "return [_run_sample(config, i) for i in indices]",
      "return [_run_sample(config, i) for i in reversed(indices)]"),
+    # the clock's loop reads the driver from knot 1
+    ("src/tcsde/_kernels.py",
+     "memoryview(driver[:-1])",
+     "memoryview(driver[1:])"),
+    # every level's time-change driver subsampled at twice the factor, so
+    # level n runs on a driver at n / 2
+    ("src/tcsde/experiment.py",
+     "driver = fine.subsample(ref // n)",
+     "driver = fine.subsample(2 * (ref // n))"),
+    # the samples reduced out of index order at --jobs > 1
+    ("src/tcsde/experiment.py",
+     "return list(pool.map(_run_sample, configs, indices, chunksize=chunk))",
+     "return list(pool.map(_run_sample, configs, reversed(indices), chunksize=chunk))"),
+    # config refusal: samples allowed at 0
+    ("src/tcsde/experiment.py",
+     '("samples", "samples", _integer, lambda v: v >= 1,',
+     '("samples", "samples", _integer, lambda v: v >= 0,'),
+    # config refusal: x0 allowed non-finite
+    ("src/tcsde/experiment.py",
+     '("x0", "x0", float, math.isfinite,',
+     '("x0", "x0", float, lambda v: True,'),
+    # config refusal: T allowed at 0
+    ("src/tcsde/experiment.py",
+     '("T", "sde_horizon", float, lambda v: math.isfinite(v) and v > 0,',
+     '("T", "sde_horizon", float, lambda v: math.isfinite(v) and v >= 0,'),
 )
 
 

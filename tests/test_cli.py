@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcsde import cli
 from tcsde.cli import main, parse_config_file
@@ -657,3 +664,78 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+#: a config that runs in milliseconds, and for each key the values the fuzz
+#: test draws: ones a tiny run accepts, ones at or past the edge of the key's
+#: range, ones that do not parse, an empty value, and None, which leaves the
+#: key out. A runnable config stays tiny (samples <= 3, ladder <= 8, ref <= 64);
+#: every larger ref_resolution, and T = 1e300, is refused for memory or
+#: numpy's indexing before any driver is drawn.
+_FUZZ_BASE = {
+    "coefficient": "smooth-sin", "params": "2.0, 1.0", "T": "0.25", "x0": "0.0",
+    "resolutions": "2, 4, 8", "ref_resolution": "32", "p": "2", "samples": "2",
+    "master_seed": "7", "scheme": "time-change",
+}
+_FUZZ_VALUES = {
+    "coefficient": ["constant", "time-smooth", "holder-root", "step-mollified", "nope",
+                    "Smooth-Sin"],
+    "params": ["3, 2", "1.0, 1.0, 0.6, 0.0", "2.0", "1.0, 2.0, 0.0, 0.5", "1.0, 1.0",
+               "2.0, 0.0", "2.0, 1e-300", "1e308, 1.0", "nan, 1", "inf, 1", "2.0,", "a, b",
+               "2.0 1.0", "1, 2, 3, 4, 5"],
+    "T": ["1", "1e-3", "1e-300", "5e-324", "0", "-0.0", "-1", "1e300", "inf", "nan", "x"],
+    "x0": ["-3.5", "1e10", "-0.0", "9007199254740992", "1e308", "5e-324", "inf", "-inf",
+           "nan", "zero"],
+    "resolutions": ["8, 4, 2", "1, 2", "4, 4, 8", "1", "16", "3, 4", "0", "-2", "2.5", "a",
+                    "2, , 4", "1e3"],
+    "ref_resolution": ["64", "31", "33", "1", "0", str(2**40), str(2**62), str(2**64),
+                       str(10**30), "32.5", "x", "nan"],
+    "p": ["1", "1.5", "8", "1e6", "1e308", "0.999", "0", "-1", "inf", "nan", "two"],
+    "samples": ["3", "1", "0", "-1", "2.5", "1e1", "3.0", "x"],
+    "master_seed": ["0", str(2**64 - 1), str(2**64), "-1", "1.5", "x"],
+    "scheme": ["euler-maruyama", "compare", "em", "Time-Change"],
+}
+#: the runtime failures README lists that a valid config can meet
+_FUZZ_RUNTIME = ("fewer than two resolutions above the error floor",
+                 "every sample's error is exactly 0",
+                 "refusing to write a non-finite value")
+
+
+def _finite(token):
+    value = float(token)
+    assert math.isfinite(value), f"report.json holds {token}"
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=3,
+                       unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                           {k: st.sampled_from(_FUZZ_VALUES[k] + ["", None]) for k in keys})))
+def test_config_space_never_ends_in_a_traceback(values):
+    """run on a config with one to three keys changed exits 0 with a finite
+    report, 2 naming a changed key, or 3 for a runtime failure README lists;
+    never with a traceback."""
+    import tcsde.experiment as exp
+
+    config = {**_FUZZ_BASE, **values}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # a sample the memory rule admits stays small, whatever the host has
+        mp.setattr(exp, "_physical_memory", lambda: 2.0**26)
+        cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items() if v is not None))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", str(out), "--force", "--jobs", "1"])
+        err = err.getvalue().replace(str(cfg), "<cfg>")
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=_finite,
+                       parse_float=_finite)
+        elif code == 2:
+            assert err.startswith("config error: "), err
+            # README: params their kind refuses read "coefficient:"
+            named = [k for k in values if re.search(rf"(?<!\w){k}(?!\w)", err)]
+            assert named or ("params" in values and err.startswith(
+                "config error: coefficient: ")), (values, err)
+        else:
+            assert code == 3 and err.startswith("runtime error: "), (code, err)
+            assert any(cause in err for cause in _FUZZ_RUNTIME), err

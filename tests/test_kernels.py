@@ -7,8 +7,9 @@ SCALES, on drawn pairs and on every sup a smooth-sin or time-smooth sample
 takes. Both routes of the clock, the loop on
 Python floats and the sliding Picard sweep (at every window size in
 WINDOWS), must agree bit for bit, and in (k, status), with the numpy-scalar
-loop the package ran before (oracles.clock_seq), for every kind: at window
-edges, on exhaustion and on a bounds breach anywhere in a window. The
+loop the package ran before (oracles.clock_seq), for every kind, on a
+driver as drawn and on a strided, read-only one: at window edges, on
+exhaustion and on a bounds breach anywhere in a window. The
 Euler-Maruyama loop on Python floats must write the bytes of the numpy-scalar
 loop it replaced (oracles.em_values_seq). A step with a kind's formula
 inlined, min and max written as conditionals, must give the bits of sigma_of
@@ -110,13 +111,18 @@ class TestClockLanes:
     @pytest.mark.parametrize("n", [16, 1024, 2048, 4096, 2**14])
     @pytest.mark.parametrize("name,params", CLOCK_CASES)
     def test_sweep_identical_to_loop(self, name, params, n):
+        # on a driver as drawn, and on the strided, read-only view of every
+        # second knot of one drawn at 2n, which the loop's memoryview reads
         c = builtin_coefficient(name, params)
-        driver = generate_path(n, required_horizon(c, 1.0, n), 0.0, SEED, 2)
-        _, _, status = _all_clocks(
-            c.kernel_kind, c.kernel_params, driver.values, 1.0 / n, 1.0,
-            c.c1, c.c2, c.bound_tolerance,
-        )
-        assert status == _kernels.OK
+        horizon = required_horizon(c, 1.0, n)
+        strided = generate_path(2 * n, horizon, 0.0, SEED, 2).values[::2]
+        assert not (strided.flags.c_contiguous or strided.flags.writeable)
+        for driver in (generate_path(n, horizon, 0.0, SEED, 2).values, strided):
+            _, _, status = _all_clocks(
+                c.kernel_kind, c.kernel_params, driver, 1.0 / n, 1.0,
+                c.c1, c.c2, c.bound_tolerance,
+            )
+            assert status == _kernels.OK
 
     @pytest.mark.parametrize("n,route,other", [
         (2048, "_clock_seq", "_clock_sweep"),
@@ -187,8 +193,7 @@ class TestClockLanes:
 
     @pytest.mark.parametrize("knots", [W - 1, W + 1, 2 * W + 1])
     def test_loop_reads_the_driver_in_chunks(self, knots):
-        # _clock_seq reads the driver as lists of CLOCK_WINDOW knots: a
-        # driver that ends short of, just past or a knot into the next list
+        # where the driver ends: a driver of W - 1, W + 1 or 2W + 1 knots
         # gives the oracle's clock, whether the clock reaches t_end at its
         # last knot or the driver runs out
         c = builtin_coefficient("time-smooth", [2.0, 1.0])
