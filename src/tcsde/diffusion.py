@@ -51,6 +51,10 @@ class DiffusionCoefficient:
     smoothness: str = field(init=False)
     label: str = field(init=False)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled params is read-only too
+        return type(self), (self.name, self.params.tolist())
+
     def __post_init__(self):
         if self.name not in _CORPUS:
             raise ValueError(

@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -245,7 +246,7 @@ def _sample_bytes(config: ExperimentConfig, coeff: DiffusionCoefficient, scheme:
     its copy with x0 in front; their array comes once the first list is
     freed, and each level's path (16) once its lists are. The time change
     holds the driver (16 while it is drawn), its clocks and the reference's
-    knots_s, 8 each. It holds the most while the loop builds a clock: the
+    Brownian times, 8 each. It holds the most while the loop builds a clock: the
     driver, the clock's list and its array. The sweep's buffer takes 8, and a
     sup holds about 16 B a knot of the denser path up to t_hi.
     """
@@ -292,23 +293,19 @@ def sample_paths(
     return paths
 
 
-def _sup(a: PiecewiseLinearPath, b: PiecewiseLinearPath) -> float:
-    return _kernels.pl_sup_abs_diff(a.t, a.y, b.t, b.y, a.sde_horizon)
-
-
 def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
     paths = sample_paths(config, coeff, sample_index)
     ref = paths[config.ref_resolution]
-    ref_s = ref.time_change.knots_s
+    ref_s = np.arange(ref.knot_count) / config.ref_resolution
     s_cap = config.sde_horizon * coeff.c2**2
     errors = np.empty(len(config.resolutions))
     excess = -np.inf
     for i, n in enumerate(config.resolutions):
         path = paths[n]
-        s = path.time_change.knots_s
-        errors[i] = _sup(path, ref)
+        s = np.arange(path.knot_count) / n
+        errors[i] = _kernels.pl_sup_abs_diff(path.t, path.y, ref.t, ref.y, config.sde_horizon)
         # inverse clocks are piecewise linear in SDE time with knots
-        # (clock value, brownian time); clocks are piecewise linear in
+        # (clock value, brownian time k/n); clocks are piecewise linear in
         # brownian time, compared up to C2^2 * T on the common domain
         inv_sup = _kernels.pl_sup_abs_diff(path.t, s, ref.t, ref_s, config.sde_horizon)
         s_hi = min(s[-1], ref_s[-1], s_cap)
@@ -320,15 +317,19 @@ def _tc_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResu
 def _em_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
     paths = sample_paths(config, coeff, sample_index)
     ref = paths[config.ref_resolution]
-    return SampleResult(np.array([_sup(paths[n], ref) for n in config.resolutions]))
+    return SampleResult(np.array([_kernels.pl_sup_abs_diff(
+        paths[n].t, paths[n].y, ref.t, ref.y, config.sde_horizon) for n in config.resolutions]))
+
+
+def _sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
+    # the sampler is looked up at call time, so a patched one is the one run
+    sampler = _em_sample if config.scheme == SCHEME_EULER_MARUYAMA else _tc_sample
+    return sampler(config, coeff, sample_index)
 
 
 def strong_error_one_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
-    """Coupled sup-errors of one seeded sample against its fine reference."""
-    coeff = config.build_coefficient()
-    if config.scheme == SCHEME_EULER_MARUYAMA:
-        return _em_sample(config, coeff, sample_index)
-    return _tc_sample(config, coeff, sample_index)
+    """Coupled sup-errors of one seeded sample, on a coefficient it builds itself."""
+    return _sample(config, config.build_coefficient(), sample_index)
 
 
 def _origin_module(exc: Exception) -> str:
@@ -355,10 +356,10 @@ def blame_sample(sample_index: int, func, *args):
         raise ExperimentError(sample_index, _origin_module(exc), message) from exc
 
 
-def _run_sample(config: ExperimentConfig, sample_index: int) -> SampleResult:
+def _run_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleResult:
     # module-level so process pools can pickle it; the error it raises
     # pickles by its fields, so a pool re-raises it unchanged
-    return blame_sample(sample_index, strong_error_one_sample, config, sample_index)
+    return blame_sample(sample_index, _sample, config, coeff, sample_index)
 
 
 def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
@@ -378,7 +379,7 @@ def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[flo
     return slope, stderr
 
 
-def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
+def _collect(config: ExperimentConfig, coeff, jobs: int) -> list[SampleResult]:
     """Every sample's result in index order; raises at the first failing index.
 
     At most one worker per sample: a pool forks all its workers at once.
@@ -386,12 +387,11 @@ def _collect(config: ExperimentConfig, jobs: int) -> list[SampleResult]:
     indices = range(config.samples)
     jobs = min(jobs, config.samples)
     if jobs <= 1:
-        return [_run_sample(config, i) for i in indices]
+        return [_run_sample(config, coeff, i) for i in indices]
     chunk = max(1, config.samples // (jobs * 8))
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            configs = [config] * config.samples
-            return list(pool.map(_run_sample, configs, indices, chunksize=chunk))
+            return list(pool.map(partial(_run_sample, config, coeff), indices, chunksize=chunk))
     except BrokenProcessPool as exc:
         raise TcsdeError(f"a worker process died: {exc}") from exc
 
@@ -421,7 +421,7 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> dict
         schemes = {"time_change": SCHEME_TIME_CHANGE, "euler_maruyama": SCHEME_EULER_MARUYAMA}
         return {k: run_experiment(replace(config, scheme=s), jobs) for k, s in schemes.items()}
     jobs = 1 if jobs is None else max(1, int(jobs))
-    results = _collect(config, jobs)
+    results = _collect(config, coeff, jobs)
 
     errs = np.stack([r.sup_errors for r in results])
     p = config.p

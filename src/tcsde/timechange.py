@@ -54,11 +54,6 @@ class TimeChangePath:
     def knot_count(self) -> int:
         return len(self.clock)
 
-    @property
-    def knots_s(self) -> np.ndarray:
-        """Brownian-time knots 0, 1/n, ..., K/n."""
-        return np.arange(self.knot_count) / self.n
-
 
 def build_time_change(
     driver: BrownianPath, sigma: DiffusionCoefficient, sde_horizon: float

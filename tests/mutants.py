@@ -120,8 +120,8 @@ MUTANTS = (
      "lambda v: math.isfinite(v) and v > 0,"),
     # the samples reduced out of index order at --jobs 1
     ("src/tcsde/experiment.py",
-     "return [_run_sample(config, i) for i in indices]",
-     "return [_run_sample(config, i) for i in reversed(indices)]"),
+     "return [_run_sample(config, coeff, i) for i in indices]",
+     "return [_run_sample(config, coeff, i) for i in reversed(indices)]"),
     # the clock's loop reads the driver from knot 1
     ("src/tcsde/_kernels.py",
      "memoryview(driver[:-1])",
@@ -133,8 +133,9 @@ MUTANTS = (
      "driver = fine.subsample(2 * (ref // n))"),
     # the samples reduced out of index order at --jobs > 1
     ("src/tcsde/experiment.py",
-     "return list(pool.map(_run_sample, configs, indices, chunksize=chunk))",
-     "return list(pool.map(_run_sample, configs, reversed(indices), chunksize=chunk))"),
+     "return list(pool.map(partial(_run_sample, config, coeff), indices, chunksize=chunk))",
+     "return list(pool.map(partial(_run_sample, config, coeff), reversed(indices),"
+     " chunksize=chunk))"),
     # config refusal: samples allowed at 0
     ("src/tcsde/experiment.py",
      '("samples", "samples", _integer, lambda v: v >= 1,',
@@ -147,6 +148,33 @@ MUTANTS = (
     ("src/tcsde/experiment.py",
      '("T", "sde_horizon", float, lambda v: math.isfinite(v) and v > 0,',
      '("T", "sde_horizon", float, lambda v: math.isfinite(v) and v >= 0,'),
+    # each sample builds and checks the coefficient again, as a run's
+    # samples did before they took the run's checked one
+    ("src/tcsde/experiment.py",
+     "return blame_sample(sample_index, _sample, config, coeff, sample_index)",
+     "return blame_sample(sample_index, _sample, config, config.build_coefficient(),"
+     " sample_index)"),
+    # config refusal: params allowed non-finite
+    ("src/tcsde/experiment.py",
+     "lambda v: all(map(math.isfinite, v)),",
+     "lambda v: True,"),
+    # config refusal: a ladder from n = 0
+    ("src/tcsde/experiment.py",
+     "lambda v: len(v) > 0 and v[0] >= 1,",
+     "lambda v: len(v) > 0 and v[0] >= 0,"),
+    # config refusal: a negative master_seed
+    ("src/tcsde/experiment.py",
+     "lambda v: 0 <= v < 2**64,",
+     "lambda v: v < 2**64,"),
+    # config refusal: any scheme name
+    ("src/tcsde/experiment.py",
+     '("scheme", "scheme", str, lambda v: v in _SCHEMES,',
+     '("scheme", "scheme", str, lambda v: True,'),
+    # the clock's Picard sweep slides its window one knot past the last
+    # exact one, so the next pass starts from a guessed knot
+    ("src/tcsde/_kernels.py",
+     "j += q + 1",
+     "j += q + 2"),
 )
 
 

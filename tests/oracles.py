@@ -241,7 +241,7 @@ def fit_slope_polyfit(ns, errors):
 # The scalar twins of the package's vectorized path code, kept verbatim as
 # references for it: TimeChangePath.value / invert and BrownianPath.interpolate.
 # The package reads the inverse clock as the piecewise-linear path through the
-# swapped knots (clock, knots_s); clock_invert keeps the closed form per knot
+# swapped knots (clock, k/n); clock_invert keeps the closed form per knot
 # interval, with its degenerate-step guard (MIN_CLOCK_STEP).
 
 

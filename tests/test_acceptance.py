@@ -128,16 +128,16 @@ def test_criterion_1_exact_inverse_suite():
         tc = sample_paths(cfg, coeff, i)[n].time_change
 
         # the inverse clock as _tc_sample reads it: the path through
-        # (clock, knots_s)
-        got = _kernels.pl_eval_many(tc.clock, tc.knots_s, tc.clock)
-        want = np.arange(tc.knot_count) / n
-        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(want, np.finfo(float).tiny)))
+        # (clock, k/n)
+        s = np.arange(tc.knot_count) / n
+        got = _kernels.pl_eval_many(tc.clock, s, tc.clock)
+        assert np.all(np.abs(got - s) <= np.spacing(np.maximum(s, np.finfo(float).tiny)))
         checked_knots += tc.knot_count
 
         rng = np.random.default_rng(1000 + i)
         ts = rng.uniform(0.0, float(tc.clock[-1]), 1000)
-        taus = _kernels.pl_eval_many(tc.clock, tc.knots_s, ts)
-        back = _kernels.pl_eval_many(tc.knots_s, tc.clock, taus)
+        taus = _kernels.pl_eval_many(tc.clock, s, ts)
+        back = _kernels.pl_eval_many(s, tc.clock, taus)
         assert np.all(np.abs(back - ts) <= 1e-12 * np.maximum(1.0, np.abs(ts)))
     elapsed = time.time() - start
     assert elapsed < 10.0, f"exact-inverse suite took {elapsed:.1f}s"

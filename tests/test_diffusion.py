@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,17 @@ class TestCorpusValidation:
         c = builtin_coefficient("holder-root", [1.0, 1.0, 0.6, 0.0])
         with pytest.raises(ValueError, match="read-only"):
             c.kernel_params[2] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_PARAMS))
+    def test_pickle_keeps_params_read_only(self, name):
+        # pool workers take the run's coefficient by pickle, and numpy
+        # unpickles an array writable unless the class rebuilds it
+        c = builtin_coefficient(name, CORPUS_PARAMS[name])
+        copy = pickle.loads(pickle.dumps(c))
+        assert not copy.params.flags.writeable
+        assert copy.params.tobytes() == c.params.tobytes()
+        fields = ("name", "c1", "c2", "holder_beta", "kernel_kind", "smoothness", "label")
+        assert [getattr(copy, f) for f in fields] == [getattr(c, f) for f in fields]
 
     def test_direct_construction_validates_kind(self):
         with pytest.raises(ValueError, match="unknown coefficient"):

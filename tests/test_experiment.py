@@ -593,6 +593,27 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="^p: "):
             run(scale, p=1e6)
 
+    @pytest.mark.parametrize("scheme", [SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA, SCHEME_COMPARE])
+    def test_coefficient_built_once_per_run(self, monkeypatch, scheme):
+        # the run checks and builds its coefficient once and hands it to every
+        # sample; compare checks the whole config, then each scheme's run
+        import tcsde.experiment as exp
+
+        builds = []
+
+        def counted(name, params):
+            builds.append(name)
+            return builtin_coefficient(name, params)
+
+        monkeypatch.setattr(exp, "builtin_coefficient", counted)
+        for samples in (2, 6):
+            builds.clear()
+            cfg = _config(coefficient="holder-root", params=(1.0, 1.0, 0.6, 0.0),
+                          resolutions=(4, 8), ref_resolution=32, samples=samples,
+                          scheme=scheme)
+            run_experiment(cfg, jobs=1)
+            assert len(builds) == (3 if scheme == SCHEME_COMPARE else 1), samples
+
     def test_experiment_error_pickles_by_fields(self):
         err = pickle.loads(pickle.dumps(ExperimentError(3, "brownian", "synthetic")))
         assert type(err) is ExperimentError
@@ -606,7 +627,8 @@ class TestRunExperiment:
         import tcsde.experiment as exp
 
         cfg = _config(samples=4)
-        got, want = exp._run_sample(cfg, 2), strong_error_one_sample(cfg, 2)
+        got = exp._run_sample(cfg, cfg.build_coefficient(), 2)
+        want = strong_error_one_sample(cfg, 2)
         assert got.sup_errors.tobytes() == want.sup_errors.tobytes()
         assert got.bound_excess == want.bound_excess
         original = exp._tc_sample

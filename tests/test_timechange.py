@@ -59,13 +59,13 @@ def _rows(path):
 
 def _clock_at(tc, s):
     """Clock values at Brownian times s, the vectorized twin of oracles.clock_value."""
-    return _kernels.pl_eval_many(tc.knots_s, tc.clock, s)
+    return _kernels.pl_eval_many(np.arange(tc.knot_count) / tc.n, tc.clock, s)
 
 
 def _invert(tc, t):
     """Brownian times at which the clock reaches SDE times t, read as the
-    experiment reads the inverse clock: the path through (clock, knots_s)."""
-    return _kernels.pl_eval_many(tc.clock, tc.knots_s, t)
+    experiment reads the inverse clock: the path through (clock, k/n)."""
+    return _kernels.pl_eval_many(tc.clock, np.arange(tc.knot_count) / tc.n, t)
 
 
 class TestClockConstruction:
@@ -91,7 +91,8 @@ class TestClockConstruction:
             c = _coeff(name)
             sp = _sample(name, 16, 1)
             budget = c.c2**2 * 1.0 + 1.0 / 16 + 1e-9
-            assert sp.time_change.knots_s[-1] <= budget
+            tc = sp.time_change
+            assert (np.arange(tc.knot_count) / tc.n)[-1] <= budget
 
     def test_slopes_within_coefficient_bounds(self):
         for name in CORPUS_PARAMS:
@@ -106,7 +107,7 @@ class TestClockConstruction:
     def test_clock_between_linear_envelopes(self):
         c = _coeff("smooth-sin")
         sp = _sample("smooth-sin", 64, 2)
-        s = sp.time_change.knots_s
+        s = np.arange(sp.time_change.knot_count) / sp.time_change.n
         clock = sp.time_change.clock
         assert np.all(clock >= s / c.c2**2 * (1 - 1e-12))
         assert np.all(clock <= s / c.c1**2 * (1 + 1e-12))
@@ -340,15 +341,10 @@ class TestDiscreteInverseClockBound:
                 np.abs(_invert(tc_coarse, grid_t) - _invert(tc_fine, grid_t))
             )
 
-            s_hi = min(
-                tc_coarse.knots_s[-1],
-                tc_fine.knots_s[-1],
-                c.c2**2 * t_end,
-            )
-            grid_s = np.union1d(
-                tc_coarse.knots_s[tc_coarse.knots_s <= s_hi],
-                tc_fine.knots_s[tc_fine.knots_s <= s_hi],
-            )
+            s_coarse = np.arange(tc_coarse.knot_count) / tc_coarse.n
+            s_fine = np.arange(tc_fine.knot_count) / tc_fine.n
+            s_hi = min(s_coarse[-1], s_fine[-1], c.c2**2 * t_end)
+            grid_s = np.union1d(s_coarse[s_coarse <= s_hi], s_fine[s_fine <= s_hi])
             grid_s = np.append(grid_s, s_hi)
             clock_gap = np.max(np.abs(_clock_at(tc_coarse, grid_s) - _clock_at(tc_fine, grid_s)))
             assert inv_gap <= c.c2**2 * clock_gap + 1e-10, name
