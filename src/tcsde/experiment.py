@@ -171,9 +171,13 @@ class ExperimentConfig:
     def validate_for_run(self) -> DiffusionCoefficient:
         """The configured coefficient, once every requirement of a full
         experiment run holds; raises ConfigError before any sample or output
-        otherwise. Only a too-large p is found later, from the errors."""
+        otherwise. Only the errors reveal a too-large p, an x0 or T that
+        sinks every level below ERROR_FLOOR, or a level of all-zero errors."""
         if self.samples < 2:
             raise ConfigError(f"samples: a rate run needs >= 2 samples, got {self.samples}")
+        if len(self.resolutions) < 2:
+            raise ConfigError(f"resolutions: a rate run needs >= 2 distinct resolutions, "
+                              f"got {list(self.resolutions)}")
         if self.ref_resolution < 4 * max(self.resolutions):
             raise ConfigError(
                 f"ref_resolution: {self.ref_resolution} must be at least 4x the "
@@ -363,7 +367,8 @@ def _run_sample(config: ExperimentConfig, coeff, sample_index: int) -> SampleRes
 
 
 def fit_loglog(resolutions: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
-    """OLS slope and its standard error for log(error) against log(1/n)."""
+    """OLS slope and its standard error for log(error) against log(1/n); the
+    stderr is 0.0 at two resolutions, which leave no residual to read it from."""
     x = np.log(1.0 / np.asarray(resolutions, dtype=np.float64))
     y = np.log(np.asarray(errors, dtype=np.float64))
     if len(x) < 2:

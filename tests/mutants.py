@@ -175,6 +175,10 @@ MUTANTS = (
     ("src/tcsde/_kernels.py",
      "j += q + 1",
      "j += q + 2"),
+    # config refusal: a rate run on a one-level ladder
+    ("src/tcsde/experiment.py",
+     "if len(self.resolutions) < 2:",
+     "if len(self.resolutions) < 1:"),
 )
 
 

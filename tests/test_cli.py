@@ -234,6 +234,7 @@ class TestCmdRun:
             ({"ref_resolution": "128"}, "ref_resolution"),
             ({"coefficient": "holder-root", "params": "1.0, 1.0, 0.3, 0.0",
               "scheme": "euler-maruyama"}, "scheme"),
+            ({"resolutions": "16"}, "resolutions"),
         ],
     )
     def test_refused_run_makes_no_output_directory(self, tmp_path, capsys, values, field):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import SEED
+from strategies import CASES, INSIDE, SEED
 from tcsde.diffusion import builtin_coefficient
 from tcsde.errors import ConfigError, ExperimentError, TcsdeError
 from tcsde.experiment import (
@@ -68,26 +68,17 @@ print(hashlib.sha256(text.encode()).hexdigest())
 _positive = st.floats(1e-3, 1e3)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
-#: valid params of each corpus coefficient, with the arity it takes
-_CORPUS_PARAMS = {
-    "constant": st.tuples(_positive),
-    "smooth-sin": st.tuples(_positive, _positive).map(lambda ab: (ab[0] + ab[1], ab[1])),
-    "time-smooth": st.tuples(_positive, _positive).map(lambda ab: (ab[0] + ab[1], ab[1])),
-    "holder-root": st.tuples(_positive, _positive, st.floats(0.01, 0.99), _finite),
-    "step-mollified": st.tuples(_positive, _positive, _finite, _positive),
-}
-
 
 @st.composite
 def _valid_configs(draw):
-    """Configs that pass validation: a ladder of powers of two, in any order
-    and with repeats, that divides ref_resolution, which is at least 4x its
-    top."""
-    name = draw(st.sampled_from(sorted(_CORPUS_PARAMS)))
+    """Configs that construct: params drawn inside their kind's domain, and a
+    ladder of powers of two, in any order and with repeats, that divides
+    ref_resolution, which is at least 4x its top."""
+    name = draw(st.sampled_from(sorted(INSIDE)))
     exponents = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
     return ExperimentConfig(
         coefficient=name,
-        params=draw(_CORPUS_PARAMS[name]),
+        params=draw(INSIDE[name]),
         sde_horizon=draw(_positive),
         x0=draw(_finite),
         resolutions=tuple(2**e for e in exponents),
@@ -391,19 +382,11 @@ class TestShortDriver:
             )
 
 
-#: one tiny run per corpus kind with the time-change scheme, and with
+#: one tiny run per case with the time-change scheme, and with
 #: Euler-Maruyama wherever the Hoelder exponent allows (beta >= 1/2)
-_KINDS = [
-    ("constant", (2.0,)),
-    ("smooth-sin", (2.0, 1.0)),
-    ("time-smooth", (2.0, 1.0)),
-    ("holder-root", (1.0, 1.0, 0.3, 0.0)),
-    ("holder-root", (1.0, 1.0, 0.6, 0.0)),
-    ("step-mollified", (1.0, 2.0, 0.0, 0.5)),
-]
 _JOBS_CASES = [
     (name, params, scheme)
-    for name, params in _KINDS
+    for name, params in CASES
     for scheme in (SCHEME_TIME_CHANGE, SCHEME_EULER_MARUYAMA)
     if scheme == SCHEME_TIME_CHANGE or builtin_coefficient(name, params).holder_beta >= 0.5
 ]

@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import INSIDE, SEED
+from strategies import CASES, INSIDE, SEED
 from tcsde import _kernels
 from tcsde.brownian import generate_path
 from tcsde.diffusion import _CORPUS, _build_sine, builtin_coefficient
@@ -38,17 +38,6 @@ def _random_pl(rng, knots, scale=1.0):
     y = np.cumsum(rng.normal(0.0, scale, knots + 1))
     return t, y
 
-
-#: every corpus kind, with holder-root at beta 0.3, 0.5 and 0.6
-CLOCK_CASES = [
-    ("constant", [2.0]),
-    ("smooth-sin", [2.0, 1.0]),
-    ("time-smooth", [2.0, 1.0]),
-    ("holder-root", [1.0, 1.0, 0.3, 0.0]),
-    ("holder-root", [1.0, 1.0, 0.5, 0.0]),
-    ("holder-root", [1.0, 1.0, 0.6, 0.0]),
-    ("step-mollified", [1.0, 2.0, 0.0, 0.5]),
-]
 
 W = _kernels.CLOCK_WINDOW
 #: knots per pass of the clock's sweep: passes of one, two and three knots,
@@ -109,7 +98,7 @@ class TestClockLanes:
                         c.c1, c.c2, c.bound_tolerance)
 
     @pytest.mark.parametrize("n", [16, 1024, 2048, 4096, 2**14])
-    @pytest.mark.parametrize("name,params", CLOCK_CASES)
+    @pytest.mark.parametrize("name,params", CASES)
     def test_sweep_identical_to_loop(self, name, params, n):
         # on a driver as drawn, and on the strided, read-only view of every
         # second knot of one drawn at 2n, which the loop's memoryview reads
@@ -143,7 +132,7 @@ class TestClockLanes:
         assert buf[: k + 1].tobytes() == getattr(_kernels, route)(*args)[0][: k + 1].tobytes()
 
     @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("name,params", CLOCK_CASES)
+    @pytest.mark.parametrize("name,params", CASES)
     def test_sweep_at_every_window_size(self, name, params, window):
         # reaching t_end, exhaustion, and a breach at the largest sigma seen
         c = builtin_coefficient(name, params)
@@ -360,7 +349,7 @@ def _em_cases(draw):
 
 class TestEmLoop:
     @pytest.mark.parametrize("n", _EM_N)
-    @pytest.mark.parametrize("name,params", CLOCK_CASES + [_SUBNORMAL_RAMP])
+    @pytest.mark.parametrize("name,params", CASES + [_SUBNORMAL_RAMP])
     def test_same_bytes_as_numpy_scalar_loop(self, name, params, n):
         c = builtin_coefficient(name, params)
         # 3000 steps at n = 3 read knot times k/n that no power of two gives
